@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sphattn import autodiff as ad
 from sphattn import backbone as bb
 from sphattn import training as tr
 
@@ -444,3 +445,40 @@ def test_evaluate_rejects_empty():
     ds = tr.synth_dataset("morse", 10, seed=9)
     with pytest.raises(ValueError):
         tr.evaluate([], tiny_model(ds))
+
+
+# ------------------------------------------- force-loss parameter gradients
+
+ORACLE_TABLES = (
+    "embed", "layer0.radial", "layer0.mix0",
+    "layer0.attn.wq_node", "layer0.attn.wk_field", "layer0.attn.wv_node",
+    "layer0.attn.pos", "layer0.attn.gate_w", "layer0.attn.gate_b",
+)
+
+
+def test_force_loss_parameter_gradients_match_central_differences():
+    # reverse over reverse: the forces are one reverse pass, and the force
+    # loss built on them is differentiated against every table by a second
+    ds = tr.synth_dataset("trimer", 10, seed=10)
+    model = bb.new_model(ds.species_vocabulary(), seed=5, random_gate=True,
+                         channels=4, d=4, grid=(2, 4), layers=1)
+    tr.init_reference_energies(model, ds.split("train"))
+    configs = ds.split("train")[:2]
+    target = tr._target_batch(configs)
+
+    nodes = {k: ad.leaf(v) for k, v in model.params.items()}
+    loss = tr.loss(tr._predict(configs, model, params=nodes, want_grad=True), target)
+    grads = ad.grad(loss, [nodes[k] for k in ORACLE_TABLES])
+
+    h = 1e-4
+    for name, g in zip(ORACLE_TABLES, grads):
+        index = np.unravel_index(np.argmax(np.abs(g.value)), g.value.shape)
+        analytic = float(g.value[index])
+        assert analytic != 0.0, name
+        sides = []
+        for step in (h, -h):
+            params = {k: v.copy() for k, v in model.params.items()}
+            params[name][index] += step
+            sides.append(tr.loss(tr._predict(configs, model, params=params), target))
+        fd = (sides[0] - sides[1]) / (2 * h)
+        assert abs(analytic - fd) <= 1e-5 * abs(fd) + 1e-9 * max(1.0, float(loss.value)), (name, analytic, fd)
