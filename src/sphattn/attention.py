@@ -176,9 +176,7 @@ def build_qkv(h_i, h_j, field_feats, params: MaraParams) -> AttentionField:
     v = _project(hj, ad.as_node(params.wv_node), feats, ad.as_node(params.wv_field), pos)
     if taped:
         return AttentionField(q, k, v)
-    af = AttentionField(q.value, k.value, v.value)
-    ad.release(q, k, v)
-    return af
+    return AttentionField(q.value, k.value, v.value)
 
 
 def spherical_attention(af: AttentionField, grid: SphericalGrid, heads: int = 1):
@@ -216,11 +214,7 @@ def spherical_attention(af: AttentionField, grid: SphericalGrid, heads: int = 1)
     n = out.value.ndim
     out = ad.transpose(out, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
     out = ad.reshape(out, out.value.shape[:-2] + (d,))
-    if taped:
-        return out
-    val = out.value
-    ad.release(out)
-    return val
+    return out if taped else out.value
 
 
 def pool_attention(attn_out, grid: SphericalGrid):
@@ -288,6 +282,4 @@ def edge_gates(
     alpha = pool_and_gate(out, grid, params)
     if taped or any(isinstance(getattr(params, n), ad.Node) for n in ("wq_node", "gate_w")):
         return alpha
-    val = _val(alpha)
-    ad.release(alpha)
-    return val
+    return _val(alpha)

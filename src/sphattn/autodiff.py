@@ -1,12 +1,27 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A small eager autograd engine: each operation computes its value
-immediately and records its parents together with a vector-Jacobian
-closure. ``grad`` walks the recorded graph in reverse creation order and
-accumulates cotangents. The closures emit taped operations themselves,
-so gradient expressions stay differentiable; a force prediction obtained
-by one reverse pass can therefore enter a loss whose parameter gradient
-is computed by a second reverse pass over the extended graph.
+immediately and records its parents together with one vector-Jacobian
+product, ``vjp(ct, out, *parents)``. ``grad`` walks the recorded graph in
+reverse creation order, hands every VJP its cotangent, its own output and
+its parents, and accumulates the cotangents it returns. A VJP keeps only
+static data (shapes, axes, index keys) and never a node, so no node
+refers to itself and a finished graph is freed by refcounting alone.
+
+Every primitive returns a plain array when none of its arguments is a
+Node, and a Node otherwise. The VJPs are written in those primitives, so
+one definition serves both kinds of backward pass:
+
+* ``grad(..., create_graph=True)``, the default, hands the VJPs nodes.
+  The gradients it returns are graph nodes themselves, so a force
+  prediction obtained by one reverse pass can enter a loss whose
+  parameter gradient is computed by a second reverse pass over the
+  extended graph.
+* ``grad(..., create_graph=False)`` hands the same VJPs plain arrays,
+  records nothing, drops each cotangent once it has been consumed and
+  returns parentless constants. Callers that take one gradient and only
+  read its value (energy and forces, validation) use it; both modes give
+  bitwise-equal gradients.
 
 Everything is double precision. One evaluation builds one implicit tape;
 tapes must not be shared across threads, but independent evaluations may
@@ -32,9 +47,10 @@ class Node:
     """One value in the computation graph.
 
     ``value`` is always a float64 ndarray (possibly 0-d). Leaves have no
-    parents; interior nodes carry a VJP closure mapping the incoming
-    cotangent node to one cotangent node per parent (None for parents
-    that need no gradient).
+    parents; interior nodes carry a VJP ``vjp(ct, out, *parents)`` that
+    maps the incoming cotangent to one cotangent per parent (None for
+    parents that need no gradient). ``grad`` passes either this node and
+    its parents or their values.
     """
 
     __slots__ = ("value", "op", "parents", "vjp", "tid", "__weakref__")
@@ -105,156 +121,94 @@ def detach(x: Node) -> Node:
     return constant(x.value)
 
 
-def _sum_to(g: Node, shape: tuple[int, ...]) -> Node:
+def _value(x):
+    return x.value if type(x) is Node else x
+
+
+def _sum_to(g, shape: tuple[int, ...]):
     # Reduce a broadcast cotangent back to the parent's shape.
-    if g.value.shape == shape:
+    if g.shape == shape:
         return g
-    extra = g.value.ndim - len(shape)
+    extra = len(g.shape) - len(shape)
     if extra > 0:
         g = sum_(g, axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.value.shape[i] != 1)
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = sum_(g, axis=axes, keepdims=True)
     return g
 
 
-def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    sa, sb = a.value.shape, b.value.shape
+def _unary(name, f, vjp):
+    def op(a):
+        if type(a) is not Node:
+            return f(a)
+        return Node(f(a.value), name, (a,), vjp)
 
-    def vjp(ct):
-        return _sum_to(ct, sa), _sum_to(ct, sb)
-
-    return Node(a.value + b.value, "add", (a, b), vjp)
-
-
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    sa, sb = a.value.shape, b.value.shape
-
-    def vjp(ct):
-        return _sum_to(ct, sa), _sum_to(neg(ct), sb)
-
-    return Node(a.value - b.value, "sub", (a, b), vjp)
+    op.__name__ = name
+    return op
 
 
-def neg(a) -> Node:
-    a = as_node(a)
+def _binary(name, f, vjp):
+    def op(a, b):
+        if type(a) is not Node and type(b) is not Node:
+            return f(a, b)
+        a, b = as_node(a), as_node(b)
+        return Node(f(a.value, b.value), name, (a, b), vjp)
 
-    def vjp(ct):
-        return (neg(ct),)
-
-    return Node(-a.value, "neg", (a,), vjp)
-
-
-def mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    sa, sb = a.value.shape, b.value.shape
-
-    def vjp(ct):
-        return _sum_to(mul(ct, b), sa), _sum_to(mul(ct, a), sb)
-
-    return Node(a.value * b.value, "mul", (a, b), vjp)
+    op.__name__ = name
+    return op
 
 
-def div(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    sa, sb = a.value.shape, b.value.shape
-    out = Node(a.value / b.value, "div", (a, b), None)
-
-    def vjp(ct):
-        da = div(ct, b)
-        db = neg(div(mul(ct, out), b))
-        return _sum_to(da, sa), _sum_to(db, sb)
-
-    out.vjp = vjp
-    return out
-
-
-def pow_const(a, p: float) -> Node:
-    a = as_node(a)
-    p = float(p)
-
-    def vjp(ct):
-        return (mul(ct, mul(constant(p), pow_const(a, p - 1.0))),)
-
-    return Node(a.value**p, "pow", (a,), vjp)
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    out = Node(np.exp(a.value), "exp", (a,), None)
-    out.vjp = lambda ct: (mul(ct, out),)
-    return out
-
-
-def log(a) -> Node:
-    a = as_node(a)
-
-    def vjp(ct):
-        return (div(ct, a),)
-
-    return Node(np.log(a.value), "log", (a,), vjp)
-
-
-def sqrt(a) -> Node:
-    a = as_node(a)
-    out = Node(np.sqrt(a.value), "sqrt", (a,), None)
-    out.vjp = lambda ct: (div(ct, mul(constant(2.0), out)),)
-    return out
-
-
-def sin(a) -> Node:
-    a = as_node(a)
-
-    def vjp(ct):
-        return (mul(ct, cos(a)),)
-
-    return Node(np.sin(a.value), "sin", (a,), vjp)
-
-
-def cos(a) -> Node:
-    a = as_node(a)
-
-    def vjp(ct):
-        return (neg(mul(ct, sin(a))),)
-
-    return Node(np.cos(a.value), "cos", (a,), vjp)
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    out = Node(np.tanh(a.value), "tanh", (a,), None)
-    out.vjp = lambda ct: (mul(ct, sub(constant(1.0), mul(out, out))),)
-    return out
-
-
-def sigmoid(a) -> Node:
-    """Logistic function, evaluated via exp(-|z|) to avoid overflow."""
-    a = as_node(a)
-    z = a.value
+def _logistic(z):
+    # evaluated via exp(-|z|) to avoid overflow
     ez = np.exp(-np.abs(z))
-    val = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    out = Node(np.asarray(val), "sigmoid", (a,), None)
-    out.vjp = lambda ct: (mul(ct, mul(out, sub(constant(1.0), out))),)
-    return out
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def sum_(a, axis=None, keepdims=False) -> Node:
-    a = as_node(a)
+def _mul_vjp(ct, out, a, b):
+    return _sum_to(mul(ct, b), a.shape), _sum_to(mul(ct, a), b.shape)
+
+
+def _div_vjp(ct, out, a, b):
+    return _sum_to(div(ct, b), a.shape), _sum_to(neg(div(mul(ct, out), b)), b.shape)
+
+
+add = _binary("add", np.add, lambda ct, out, a, b: (_sum_to(ct, a.shape), _sum_to(ct, b.shape)))
+sub = _binary("sub", np.subtract, lambda ct, out, a, b: (_sum_to(ct, a.shape), _sum_to(neg(ct), b.shape)))
+mul = _binary("mul", np.multiply, _mul_vjp)
+div = _binary("div", np.divide, _div_vjp)
+neg = _unary("neg", np.negative, lambda ct, out, a: (neg(ct),))
+exp = _unary("exp", np.exp, lambda ct, out, a: (mul(ct, out),))
+log = _unary("log", np.log, lambda ct, out, a: (div(ct, a),))
+sqrt = _unary("sqrt", np.sqrt, lambda ct, out, a: (div(ct, mul(2.0, out)),))
+sin = _unary("sin", np.sin, lambda ct, out, a: (mul(ct, cos(a)),))
+cos = _unary("cos", np.cos, lambda ct, out, a: (neg(mul(ct, sin(a))),))
+tanh = _unary("tanh", np.tanh, lambda ct, out, a: (mul(ct, sub(1.0, mul(out, out))),))
+sigmoid = _unary("sigmoid", _logistic, lambda ct, out, a: (mul(ct, mul(out, sub(1.0, out))),))
+
+
+def pow_const(a, p: float):
+    p = float(p)
+    if type(a) is not Node:
+        return a**p
+    return Node(a.value**p, "pow", (a,), lambda ct, out, a: (mul(ct, mul(p, pow_const(a, p - 1.0))),))
+
+
+def sum_(a, axis=None, keepdims=False):
+    if type(a) is not Node:
+        return np.sum(a, axis=axis, keepdims=keepdims)
     shape = a.value.shape
-
-    def vjp(ct):
-        if axis is None:
-            g = reshape(ct, (1,) * len(shape)) if shape else ct
-            return (broadcast_to(g, shape),)
+    if axis is None:
+        kshape = (1,) * len(shape) if shape else None
+    elif keepdims:
+        kshape = None
+    else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         axes = tuple(ax % len(shape) for ax in axes)
-        g = ct
-        if not keepdims:
-            kshape = tuple(1 if i in axes else n for i, n in enumerate(shape))
-            g = reshape(g, kshape)
-        return (broadcast_to(g, shape),)
+        kshape = tuple(1 if i in axes else n for i, n in enumerate(shape))
+
+    def vjp(ct, out, a):
+        return (broadcast_to(ct if kshape is None else reshape(ct, kshape), shape),)
 
     return Node(np.sum(a.value, axis=axis, keepdims=keepdims), "sum", (a,), vjp)
 
@@ -267,179 +221,153 @@ def mean(a, axis=None, keepdims=False) -> Node:
     return div(sum_(a, axis=axis, keepdims=keepdims), constant(float(n)))
 
 
-def sum_exact(a) -> Node:
+def _sum_exact_vjp(ct, out, a):
+    g = reshape(ct, (1,) * len(a.shape)) if a.shape else ct
+    return (broadcast_to(g, a.shape),)
+
+
+def sum_exact(a):
     """Correctly rounded full reduction (math.fsum); order-independent."""
-    a = as_node(a)
-    shape = a.value.shape
-
-    def vjp(ct):
-        g = reshape(ct, (1,) * len(shape)) if shape else ct
-        return (broadcast_to(g, shape),)
-
-    return Node(np.asarray(math.fsum(a.value.ravel().tolist())), "fsum", (a,), vjp)
+    val = np.asarray(math.fsum(np.ravel(_value(a)).tolist()))
+    return Node(val, "fsum", (a,), _sum_exact_vjp) if type(a) is Node else val
 
 
-def segment_sum(a, segment_ids, num_segments: int, exact: bool = False) -> Node:
+def segment_sum(a, segment_ids, num_segments: int, exact: bool = False):
     """Sum rows of ``a`` into ``num_segments`` buckets along axis 0.
 
     Accumulation follows row order (np.add.at), which is deterministic.
     With ``exact=True`` (1-d input only) each bucket uses math.fsum, so
     the result does not depend on row order at all.
     """
-    a = as_node(a)
+    x = _value(a)
     ids = np.asarray(segment_ids, dtype=int)
     if exact:
-        if a.value.ndim != 1:
+        if x.ndim != 1:
             raise ValueError("exact segment_sum supports 1-d input only")
-        val = np.array(
-            [math.fsum(a.value[ids == s].tolist()) for s in range(num_segments)]
-        )
+        val = np.array([math.fsum(x[ids == s].tolist()) for s in range(num_segments)])
     else:
-        val = np.zeros((num_segments,) + a.value.shape[1:])
-        np.add.at(val, ids, a.value)
-
-    def vjp(ct):
-        return (take(ct, (ids,)),)
-
-    return Node(val, "segment_sum", (a,), vjp)
+        val = np.zeros((num_segments,) + x.shape[1:])
+        np.add.at(val, ids, x)
+    if type(a) is not Node:
+        return val
+    return Node(val, "segment_sum", (a,), lambda ct, out, a: (take(ct, (ids,)),))
 
 
-def matmul(a, b) -> Node:
+def _matmul_vjp(ct, out, a, b):
+    return _sum_to(matmul(ct, _swap_last(b)), a.shape), _sum_to(matmul(_swap_last(a), ct), b.shape)
+
+
+def matmul(a, b):
     """Matrix product with numpy batch broadcasting; operands must be >= 2-d."""
+    if type(a) is not Node and type(b) is not Node:
+        return a @ b
     a, b = as_node(a), as_node(b)
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    sa, sb = a.value.shape, b.value.shape
-
-    def vjp(ct):
-        da = matmul(ct, _swap_last(b))
-        db = matmul(_swap_last(a), ct)
-        return _sum_to(da, sa), _sum_to(db, sb)
-
-    return Node(a.value @ b.value, "matmul", (a, b), vjp)
+    return Node(a.value @ b.value, "matmul", (a, b), _matmul_vjp)
 
 
-def _swap_last(a: Node) -> Node:
-    axes = tuple(range(a.value.ndim - 2)) + (a.value.ndim - 1, a.value.ndim - 2)
-    return transpose(a, axes)
+def _swap_last(a):
+    n = len(a.shape)
+    return transpose(a, tuple(range(n - 2)) + (n - 1, n - 2))
 
 
-def transpose(a, axes=None) -> Node:
-    a = as_node(a)
+def transpose(a, axes=None):
+    if type(a) is not Node:
+        return np.transpose(a, axes)
     if axes is None:
         axes = tuple(reversed(range(a.value.ndim)))
     inv = tuple(np.argsort(axes))
-
-    def vjp(ct):
-        return (transpose(ct, inv),)
-
-    return Node(np.transpose(a.value, axes), "transpose", (a,), vjp)
+    return Node(np.transpose(a.value, axes), "transpose", (a,), lambda ct, out, a: (transpose(ct, inv),))
 
 
-def reshape(a, shape) -> Node:
-    a = as_node(a)
-    old = a.value.shape
-
-    def vjp(ct):
-        return (reshape(ct, old),)
-
-    return Node(np.reshape(a.value, shape), "reshape", (a,), vjp)
+def reshape(a, shape):
+    if type(a) is not Node:
+        return np.reshape(a, shape)
+    return Node(np.reshape(a.value, shape), "reshape", (a,), lambda ct, out, a: (reshape(ct, a.shape),))
 
 
-def broadcast_to(a, shape) -> Node:
-    a = as_node(a)
-    old = a.value.shape
-
-    def vjp(ct):
-        return (_sum_to(ct, old),)
-
-    return Node(np.broadcast_to(a.value, shape).copy(), "broadcast", (a,), vjp)
+def broadcast_to(a, shape):
+    if type(a) is not Node:
+        return np.broadcast_to(a, shape).copy()
+    val = np.broadcast_to(a.value, shape).copy()
+    return Node(val, "broadcast", (a,), lambda ct, out, a: (_sum_to(ct, a.shape),))
 
 
-def concat(nodes, axis=0) -> Node:
+def concat(nodes, axis=0):
+    if not any(type(n) is Node for n in nodes):
+        return np.concatenate(nodes, axis=axis)
     nodes = [as_node(n) for n in nodes]
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = np.cumsum([0] + [n.value.shape[axis] for n in nodes])
+    keys = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        key = [slice(None)] * nodes[0].value.ndim
+        key[axis] = slice(int(lo), int(hi))
+        keys.append(tuple(key))
 
-    def vjp(ct):
-        outs = []
-        for k in range(len(nodes)):
-            key = [slice(None)] * ct.value.ndim
-            key[axis] = slice(int(offsets[k]), int(offsets[k + 1]))
-            outs.append(take(ct, tuple(key)))
-        return tuple(outs)
+    def vjp(ct, out, *parents):
+        return tuple(take(ct, key) for key in keys)
 
     return Node(np.concatenate([n.value for n in nodes], axis=axis), "concat", tuple(nodes), vjp)
 
 
-def take(a, key) -> Node:
+def take(a, key):
     """Basic or integer-array indexing; the gradient scatter-adds into zeros."""
-    a = as_node(a)
-    shape = a.value.shape
-
-    def vjp(ct):
-        return (scatter_add(shape, key, ct),)
-
+    if type(a) is not Node:
+        return a[key]
     val = a.value[key]
     if np.isscalar(val) or val.ndim == 0:
         val = np.asarray(val, dtype=float)
-    return Node(val, "take", (a,), vjp)
+    return Node(val, "take", (a,), lambda ct, out, a: (scatter_add(a.shape, key, ct),))
 
 
-def scatter_add(shape, key, values) -> Node:
+def scatter_add(shape, key, values):
     """Zeros of ``shape`` with ``values`` added at ``key`` (duplicates accumulate)."""
-    values = as_node(values)
     out = np.zeros(shape)
-    np.add.at(out, key, values.value)
-
-    def vjp(ct):
-        return (take(ct, key),)
-
-    return Node(out, "scatter_add", (values,), vjp)
+    np.add.at(out, key, _value(values))
+    if type(values) is not Node:
+        return out
+    return Node(out, "scatter_add", (values,), lambda ct, out, values: (take(ct, key),))
 
 
-def where_mask(mask, a, b) -> Node:
+def where_mask(mask, a, b):
     """Elementwise select with a fixed boolean mask (not differentiated)."""
-    a, b = as_node(a), as_node(b)
     mask = np.asarray(mask, dtype=bool)
-    sa, sb = a.value.shape, b.value.shape
-    zero = constant(np.zeros(()))
+    if type(a) is not Node and type(b) is not Node:
+        return np.where(mask, a, b)
+    a, b = as_node(a), as_node(b)
 
-    def vjp(ct):
+    def vjp(ct, out, a, b):
         return (
-            _sum_to(where_mask(mask, ct, zero), sa),
-            _sum_to(where_mask(mask, zero, ct), sb),
+            _sum_to(where_mask(mask, ct, 0.0), a.shape),
+            _sum_to(where_mask(mask, 0.0, ct), b.shape),
         )
 
     return Node(np.where(mask, a.value, b.value), "where", (a, b), vjp)
 
 
-def norm(a, axis=-1, keepdims=False) -> Node:
+def norm(a, axis=-1, keepdims=False):
     """Euclidean norm along one axis with the zero-vector subgradient set to 0.
 
     Implemented as a primitive rather than sqrt(sum(x^2)) so the gradient
     at the zero vector is exactly zero instead of NaN.
     """
-    a = as_node(a)
-    val = np.sqrt(np.sum(a.value * a.value, axis=axis, keepdims=keepdims))
-    out = Node(np.asarray(val), "norm", (a,), None)
+    x = _value(a)
+    val = np.asarray(np.sqrt(np.sum(x * x, axis=axis, keepdims=keepdims)))
+    if type(a) is not Node:
+        return val
+    kshape = list(val.shape)
+    if not keepdims:
+        kshape.insert(axis % x.ndim, 1)
 
-    def vjp(ct):
-        nkeep = out if keepdims else _restore_axis(out, a.value.ndim, axis)
-        ctk = ct if keepdims else _restore_axis(ct, a.value.ndim, axis)
-        mask = np.broadcast_to(nkeep.value > 0, a.value.shape)
-        safe = where_mask(nkeep.value > 0, nkeep, constant(np.ones(())))
-        return (where_mask(mask, div(mul(ctk, a), safe), constant(np.zeros(()))),)
+    def vjp(ct, out, a):
+        if not keepdims:
+            out, ct = reshape(out, tuple(kshape)), reshape(ct, tuple(kshape))
+        nonzero = _value(out) > 0
+        safe = where_mask(nonzero, out, 1.0)
+        return (where_mask(np.broadcast_to(nonzero, a.shape), div(mul(ct, a), safe), 0.0),)
 
-    out.vjp = vjp
-    return out
-
-
-def _restore_axis(x: Node, ndim: int, axis: int) -> Node:
-    axis = axis % ndim
-    shape = list(x.value.shape)
-    shape.insert(axis, 1)
-    return reshape(x, tuple(shape))
+    return Node(val, "norm", (a,), vjp)
 
 
 @dataclass(frozen=True)
@@ -499,13 +427,22 @@ def _reachable(output: Node) -> list[Node]:
     return [seen[t] for t in sorted(seen)]
 
 
-def grad(output: Node, wrt, allow_unused: bool = False) -> list[Node]:
+def grad(output: Node, wrt, allow_unused: bool = False, create_graph: bool = True) -> list[Node]:
     """Gradients of a scalar output with respect to each node in ``wrt``.
 
-    The returned gradients are themselves graph nodes, so they can be
-    differentiated again. Targets that the output does not depend on
-    raise MissingDependencyError unless ``allow_unused`` is set, in which
-    case they get zeros.
+    With ``create_graph=True`` the VJPs run on nodes, so the returned
+    gradients are graph nodes that can be differentiated again. That is
+    what the trainer's force-loss step does with its forces, and what
+    ``test_second_order_force_style_gradient`` and the force-loss workload
+    of ``perfbench/`` do while relying on the default without naming it,
+    so the default stays. With ``create_graph=False`` the same VJPs run
+    on plain arrays: nothing is recorded, each cotangent is dropped once
+    it has been passed on, and the gradients come back as parentless
+    constants, bitwise equal to the taped ones.
+
+    Targets that the output does not depend on raise
+    MissingDependencyError unless ``allow_unused`` is set, in which case
+    they get zeros.
     """
     if output.value.size != 1:
         raise ValueError("grad requires a scalar output")
@@ -525,12 +462,20 @@ def grad(output: Node, wrt, allow_unused: bool = False) -> list[Node]:
         if n.tid in want or any(p.tid in relevant for p in n.parents):
             relevant.add(n.tid)
 
-    cot: dict[int, Node] = {output.tid: constant(np.ones(output.value.shape))}
+    seed = np.ones(output.value.shape)
+    cot = {output.tid: constant(seed) if create_graph else seed}
     for n in reversed(nodes):
-        ct = cot.get(n.tid)
-        if ct is None or n.vjp is None or n.tid not in relevant:
+        if n.vjp is None or n.tid not in relevant:
             continue
-        for p, g in zip(n.parents, n.vjp(ct)):
+        # every consumer of n was created after it, so its cotangent is complete
+        ct = cot.get(n.tid) if n.tid in want else cot.pop(n.tid, None)
+        if ct is None:
+            continue
+        if create_graph:
+            grads = n.vjp(ct, n, *n.parents)
+        else:
+            grads = n.vjp(ct, n.value, *[p.value for p in n.parents])
+        for p, g in zip(n.parents, grads):
             if g is None or p.tid not in relevant:
                 continue
             have = cot.get(p.tid)
@@ -539,19 +484,19 @@ def grad(output: Node, wrt, allow_unused: bool = False) -> list[Node]:
     out = []
     for w in wrt:
         g = cot.get(w.tid)
-        out.append(g if g is not None else constant(np.zeros(w.value.shape)))
+        out.append(g if type(g) is Node else constant(np.zeros(w.value.shape) if g is None else g))
     return out
 
 
 def release(*roots) -> None:
-    """Snap the edges of a finished graph so refcounting frees it now.
+    """Snap the edges of a finished graph, making it unusable for grad.
 
-    VJP closures reference their own output node, and those cycles fall
-    only to the cyclic collector, whose thresholds count objects rather
-    than the hundreds of megabytes of numpy buffers a large evaluation
-    pins. A caller that has extracted plain values and will never
-    differentiate the graph again should release its roots; the graph
-    below them becomes unusable for grad afterwards.
+    Graphs hold no reference cycles, so refcounting frees a graph as soon
+    as its last root goes out of scope and the library itself never calls
+    this. It stays because the benchmark in ``perfbench/`` calls it and
+    times it under its own name; removing it waits for a change to that
+    benchmark. Plain values among ``roots`` are ignored, and releasing a
+    graph twice is harmless.
     """
     stack = [r for r in roots if isinstance(r, Node)]
     seen: set[int] = set()

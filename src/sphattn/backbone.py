@@ -385,9 +385,7 @@ def energy(config: AtomicConfiguration, state: ModelState, neighbors: NeighborLi
     idx, nl = _prep(config, state, neighbors)
     e_atom = _forward_atom_energies(ad.constant(config.positions), idx, nl.edges, state.config, state.params)
     total = ad.sum_exact(e_atom)
-    out = float(total.value), e_atom.value
-    ad.release(total)
-    return out
+    return float(total.value), e_atom.value
 
 
 def energy_and_forces(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None, gate_override: float | None = None):
@@ -396,10 +394,8 @@ def energy_and_forces(config: AtomicConfiguration, state: ModelState, neighbors:
     pos = ad.leaf(config.positions)
     e_atom = _forward_atom_energies(pos, idx, nl.edges, state.config, state.params, gate_override)
     total = ad.sum_exact(e_atom)
-    (g,) = ad.grad(total, [pos], allow_unused=True)
-    out = float(total.value), e_atom.value, -g.value
-    ad.release(total, g)
-    return out
+    (g,) = ad.grad(total, [pos], allow_unused=True, create_graph=False)
+    return float(total.value), e_atom.value, -g.value
 
 
 def forces(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None) -> np.ndarray:
@@ -415,11 +411,10 @@ def model_edge_gates(config: AtomicConfiguration, state: ModelState, neighbors: 
     """
     idx, nl = _prep(config, state, neighbors)
     trace: list[dict] = []
-    h = _forward_blocks(
+    _forward_blocks(
         ad.constant(config.positions), idx, nl.edges, state.config, state.params,
         gate_trace=trace,
     )
-    ad.release(*h.values())
     if not len(nl.edges):
         trace = [
             {"alpha": np.zeros(0), "pooled_norm": np.zeros(0)}

@@ -712,17 +712,13 @@ def cmd_eval(args) -> int:
     if any(s.energy is None for s in samples):
         raise CommandError("every frame needs an energy label for evaluation")
 
-    e_err, f_err = [], []
-    for lo in range(0, len(samples), 64):
-        chunk = samples[lo:lo + 64]
-        pred = tr._predict(chunk, state)
-        e_err.extend(np.abs(pred.energies - np.array([s.energy for s in chunk])))
-        offset = 0
-        for s, count in zip(chunk, pred.n_atoms):
-            if s.forces is not None:
-                block = pred.forces[offset:offset + count]
-                f_err.extend(np.abs(block - s.forces).ravel())
-            offset += count
+    pred = tr.predict(samples, state)
+    e_err = list(np.abs(pred.energies - np.array([s.energy for s in samples])))
+    f_err, offset = [], 0
+    for s, count in zip(samples, pred.n_atoms):
+        if s.forces is not None:
+            f_err.extend(np.abs(pred.forces[offset:offset + count] - s.forces).ravel())
+        offset += count
 
     header = ["target", "mae", "q95", "q99", "max"]
     rows, records = [], []

@@ -68,9 +68,7 @@ def grid_field(x_i, x_j, grid: SphericalGrid, edge=None) -> EdgeSphericalField:
     values = ad.norm(ad.sub(ad.reshape(xj, xj.value.shape[:-1] + (1, 3)), probe), axis=-1)
     if taped:
         return EdgeSphericalField(r, values, edge)
-    out = EdgeSphericalField(r.value, values.value, edge)
-    ad.release(values)
-    return out
+    return EdgeSphericalField(r.value, values.value, edge)
 
 
 _RBF_RE = re.compile(r"^rbf\((\d+)\)$")
@@ -110,8 +108,4 @@ def field_features(field: EdgeSphericalField, mode: str = "scalar"):
         tt = ad.reshape(t, t.value.shape + (1,))
         z = ad.sub(tt, ad.constant(centers))
         out = ad.exp(ad.neg(ad.mul(ad.mul(z, z), ad.constant(inv_two_sigma2))))
-    if taped:
-        return out
-    val = out.value
-    ad.release(out)
-    return val
+    return out if taped else out.value

@@ -523,21 +523,44 @@ def _predict(configs, state, neighbor_lists=None, params=None, want_grad=False):
     """Batched energies and forces; taped against params when asked to."""
     batch = bb.batch_graph(configs, state, params=params, neighbor_lists=neighbor_lists)
     total = ad.sum_(batch.energies)
-    (g,) = ad.grad(total, [batch.positions], allow_unused=True)
+    (g,) = ad.grad(total, [batch.positions], allow_unused=True, create_graph=want_grad)
     forces = ad.neg(g)
-    pred = EnergyForces(batch.energies, forces, batch.n_atoms)
     if want_grad:
-        return pred
-    out = EnergyForces(batch.energies.value, forces.value, batch.n_atoms)
-    ad.release(batch.energies, forces)
-    return out
+        return EnergyForces(batch.energies, forces, batch.n_atoms)
+    return EnergyForces(batch.energies.value, forces.value, batch.n_atoms)
+
+
+# structures per forward graph when predicting a whole split
+EVAL_CHUNK = 64
+
+
+def predict(configs, state: bb.ModelState, neighbor_lists=None) -> EnergyForces:
+    """Energies and forces of any number of structures, as plain arrays.
+
+    The structures go through the model EVAL_CHUNK at a time, so memory
+    stays bounded by one chunk's graph whatever the number of structures.
+    A structure's prediction does not depend on the chunk it shares.
+    """
+    parts = [
+        _predict(configs[lo:lo + EVAL_CHUNK], state,
+                 None if neighbor_lists is None else neighbor_lists[lo:lo + EVAL_CHUNK])
+        for lo in range(0, len(configs), EVAL_CHUNK)
+    ]
+    return EnergyForces(
+        np.concatenate([p.energies for p in parts]),
+        np.concatenate([p.forces for p in parts]),
+        np.concatenate([p.n_atoms for p in parts]),
+    )
 
 
 def evaluate(configs, state: bb.ModelState, neighbor_lists=None) -> dict[str, float]:
-    """Loss-free validation metrics over a list of labeled configurations."""
+    """Loss-free validation metrics over a list of labeled configurations.
+
+    Every metric is computed once over the predictions of the whole list.
+    """
     if not configs:
         raise ValueError("nothing to evaluate")
-    pred = _predict(configs, state, neighbor_lists)
+    pred = predict(configs, state, neighbor_lists)
     target = _target_batch(configs)
     de = np.abs(pred.energies - target.energies)
     df = np.abs(pred.forces - target.forces).ravel()
@@ -624,7 +647,10 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
             diverged = True
             break
 
-        grads = ad.grad(batch_loss, [pnodes[k] for k in trainable], allow_unused=True)
+        # the parameter gradient is only read, never differentiated again
+        grads = ad.grad(batch_loss, [pnodes[k] for k in trainable], allow_unused=True, create_graph=False)
+        train_loss = float(batch_loss.value)
+        del pred, batch_loss  # free this step's graph before the next one is built
         t_adam += 1
         lr = _lr_at(cfg, step)
         for k, g in zip(trainable, grads):
@@ -633,10 +659,9 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
             mhat = m[k] / (1 - cfg.beta1**t_adam)
             vhat = v[k] / (1 - cfg.beta2**t_adam)
             state.params[k] = state.params[k] - lr * mhat / (np.sqrt(vhat) + cfg.eps)
-        ad.release(batch_loss, *grads)
 
         if step % cfg.val_every == 0 or step == cfg.steps:
-            history.append({"step": step, "split": "train", "metric": "loss", "value": float(batch_loss.value)})
+            history.append({"step": step, "split": "train", "metric": "loss", "value": train_loss})
             metrics = log_validation(step)
             if np.isfinite(metrics["loss"]):
                 last_good = {k: p.copy() for k, p in state.params.items()}

@@ -226,3 +226,45 @@ def test_release_tolerates_plain_values_and_sharing():
     ad.release(c, 3.5, None)
     assert c.parents == ()
     ad.release(c)  # releasing twice is harmless
+
+
+def test_first_order_gradient_is_a_parentless_constant():
+    x = ad.leaf(rng.normal(size=(4, 3)))
+    out = ad.sum_(ad.tanh(ad.norm(ad.mul(x, 1.5), axis=-1)))
+    (taped,) = ad.grad(out, [x])
+    (plain,) = ad.grad(out, [x], create_graph=False)
+    assert plain.parents == () and plain.vjp is None and plain.op == "const"
+    assert taped.parents != ()
+    assert np.array_equal(plain.value, taped.value)
+    # the VJPs run on plain arrays because primitives without node
+    # arguments return plain arrays
+    assert type(ad.mul(np.ones(2), 2.0)) is np.ndarray
+    assert type(ad.exp(np.zeros((2, 2)))) is np.ndarray
+
+
+def test_dropped_graph_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    def build(x):
+        h = ad.div(ad.exp(ad.mul(x, 0.3)), ad.sqrt(ad.add(ad.mul(x, x), 1.0)))
+        h = ad.mul(ad.tanh(h), ad.sigmoid(ad.mul(h, 2.0)))
+        return ad.sum_(ad.norm(h, axis=-1))
+
+    x = ad.leaf(rng.normal(size=(3, 4)))
+    gc.disable()
+    try:
+        out = build(x)
+        refs = [weakref.ref(n) for n in ad._reachable(out) if n is not x]
+        assert len(refs) > 10
+        del out
+        assert all(r() is None for r in refs)
+
+        # a taped gradient and the graph it extends are freed the same way
+        out = build(x)
+        (g,) = ad.grad(out, [x])
+        refs = [weakref.ref(n) for n in ad._reachable(g) + ad._reachable(out) if n is not x]
+        del out, g
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()

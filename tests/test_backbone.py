@@ -501,3 +501,38 @@ def test_random_gate_breaks_the_constant_alpha_degeneracy():
     _, t1 = bb.model_edge_gates(config, probe)
     assert np.all(t0[0]["alpha"] == 0.5)  # zero-init gate is exactly sigmoid(0)
     assert np.ptp(t1[0]["alpha"]) > 1e-6
+
+
+# ------------------------------------------------ first-order backward pass
+
+def _both_modes(configs, state, gate_override=None):
+    batch = bb.batch_graph(configs, state, gate_override=gate_override)
+    total = ad.sum_(batch.energies)
+    (taped,) = ad.grad(total, [batch.positions], allow_unused=True)
+    (plain,) = ad.grad(total, [batch.positions], allow_unused=True, create_graph=False)
+    return batch.energies.value, taped.value, plain.value
+
+
+@pytest.mark.parametrize("case", ["gated", "ungated", "gate_override"])
+def test_first_order_forces_are_bitwise_the_taped_forces(case):
+    rng = np.random.default_rng(95)
+    state = small_model(seed=26, random_gate=True, gating=case != "ungated")
+    config = cloud(rng, n=5)
+    override = 1.0 if case == "gate_override" else None
+    energies, taped, plain = _both_modes([config], state, override)
+    assert np.array_equal(taped, plain)
+    # energy_and_forces takes the first-order path
+    e, _, f = bb.energy_and_forces(config, state, gate_override=override)
+    assert e == energies[0]
+    assert np.array_equal(f, -taped)
+
+
+def test_first_order_forces_are_bitwise_the_taped_forces_in_a_batch():
+    rng = np.random.default_rng(96)
+    state = small_model(seed=27, random_gate=True)
+    isolated = bb.AtomicConfiguration(species=np.array([1, 6]), positions=np.array([[0.0, 0, 0], [20.0, 0, 0]]))
+    configs = [cloud(rng, n=3), isolated, cloud(rng, n=4)]
+    assert neighbor_list(isolated.positions, state.config["cutoff"]).n_edges == 0
+    _, taped, plain = _both_modes(configs, state)
+    assert np.array_equal(taped, plain)
+    assert np.all(taped[3:5] == 0.0)

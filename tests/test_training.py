@@ -456,18 +456,22 @@ ORACLE_TABLES = (
 )
 
 
-def test_force_loss_parameter_gradients_match_central_differences():
-    # reverse over reverse: the forces are one reverse pass, and the force
-    # loss built on them is differentiated against every table by a second
+def _toy_force_loss():
     ds = tr.synth_dataset("trimer", 10, seed=10)
     model = bb.new_model(ds.species_vocabulary(), seed=5, random_gate=True,
                          channels=4, d=4, grid=(2, 4), layers=1)
     tr.init_reference_energies(model, ds.split("train"))
     configs = ds.split("train")[:2]
     target = tr._target_batch(configs)
-
     nodes = {k: ad.leaf(v) for k, v in model.params.items()}
     loss = tr.loss(tr._predict(configs, model, params=nodes, want_grad=True), target)
+    return model, configs, target, nodes, loss
+
+
+def test_force_loss_parameter_gradients_match_central_differences():
+    # reverse over reverse: the forces are one reverse pass, and the force
+    # loss built on them is differentiated against every table by a second
+    model, configs, target, nodes, loss = _toy_force_loss()
     grads = ad.grad(loss, [nodes[k] for k in ORACLE_TABLES])
 
     h = 1e-4
@@ -482,3 +486,27 @@ def test_force_loss_parameter_gradients_match_central_differences():
             sides.append(tr.loss(tr._predict(configs, model, params=params), target))
         fd = (sides[0] - sides[1]) / (2 * h)
         assert abs(analytic - fd) <= 1e-5 * abs(fd) + 1e-9 * max(1.0, float(loss.value)), (name, analytic, fd)
+
+
+def test_first_order_parameter_gradients_are_bitwise_the_taped_ones():
+    # the trainer takes its parameter gradient without taping it
+    _, _, _, nodes, loss = _toy_force_loss()
+    taped = ad.grad(loss, list(nodes.values()), allow_unused=True)
+    plain = ad.grad(loss, list(nodes.values()), allow_unused=True, create_graph=False)
+    for name, t, p in zip(nodes, taped, plain):
+        assert p.parents == ()
+        assert np.array_equal(t.value, p.value), name
+
+
+@pytest.mark.parametrize("gating", [True, False])
+def test_evaluate_metrics_do_not_depend_on_the_chunk_size(monkeypatch, gating):
+    ds = tr.synth_dataset("trimer", 700, seed=11)
+    model = tiny_model(ds, seed=6, channels=4, d=4, grid=(2, 4), gating=gating, random_gate=True)
+    valid = ds.split("valid")
+    results = []
+    for chunk in (1, 7, 64, len(valid) + 1):
+        monkeypatch.setattr(tr, "EVAL_CHUNK", chunk)
+        results.append(tr.evaluate(valid, model))
+    assert len(valid) > 64
+    for other in results[1:]:
+        assert other == results[0]
