@@ -2,11 +2,14 @@
 
 A small eager autograd engine: each operation computes its value
 immediately and records its parents together with one vector-Jacobian
-product, ``vjp(ct, out, *parents)``. ``grad`` walks the recorded graph in
-reverse creation order, hands every VJP its cotangent, its own output and
-its parents, and accumulates the cotangents it returns. A VJP keeps only
-static data (shapes, axes, index keys) and never a node, so no node
-refers to itself and a finished graph is freed by refcounting alone.
+product per parent, ``vjp[i](ct, out, *parents)``, which returns the
+cotangent of parent ``i`` alone. ``grad`` collects the nodes that lie on
+a path from a target to the output, walks them in reverse creation order,
+and calls a node's ``vjp[i]`` only when parent ``i`` is on such a path
+too; cotangents of constants, of parameters under a position gradient,
+and of anything else off every target path are never computed. A VJP
+keeps only static data (shapes, axes, index keys) and never a node, so no
+node refers to itself and a finished graph is freed by refcounting alone.
 
 Every primitive returns a plain array when none of its arguments is a
 Node, and a Node otherwise. The VJPs are written in those primitives, so
@@ -47,10 +50,11 @@ class Node:
     """One value in the computation graph.
 
     ``value`` is always a float64 ndarray (possibly 0-d). Leaves have no
-    parents; interior nodes carry a VJP ``vjp(ct, out, *parents)`` that
-    maps the incoming cotangent to one cotangent per parent (None for
-    parents that need no gradient). ``grad`` passes either this node and
-    its parents or their values.
+    parents; interior nodes carry ``vjp``, a tuple of one function per
+    parent: ``vjp[i](ct, out, *parents)`` maps the incoming cotangent to
+    the cotangent of parent ``i``. ``grad`` calls it only for parents on
+    a path to a target, passing either this node and its parents or their
+    values.
     """
 
     __slots__ = ("value", "op", "parents", "vjp", "tid", "__weakref__")
@@ -139,21 +143,25 @@ def _sum_to(g, shape: tuple[int, ...]):
 
 
 def _unary(name, f, vjp):
+    vjps = (vjp,)
+
     def op(a):
         if type(a) is not Node:
             return f(a)
-        return Node(f(a.value), name, (a,), vjp)
+        return Node(f(a.value), name, (a,), vjps)
 
     op.__name__ = name
     return op
 
 
-def _binary(name, f, vjp):
+def _binary(name, f, vjp_a, vjp_b):
+    vjps = (vjp_a, vjp_b)
+
     def op(a, b):
         if type(a) is not Node and type(b) is not Node:
             return f(a, b)
         a, b = as_node(a), as_node(b)
-        return Node(f(a.value, b.value), name, (a, b), vjp)
+        return Node(f(a.value, b.value), name, (a, b), vjps)
 
     op.__name__ = name
     return op
@@ -165,33 +173,29 @@ def _logistic(z):
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _mul_vjp(ct, out, a, b):
-    return _sum_to(mul(ct, b), a.shape), _sum_to(mul(ct, a), b.shape)
-
-
-def _div_vjp(ct, out, a, b):
-    return _sum_to(div(ct, b), a.shape), _sum_to(neg(div(mul(ct, out), b)), b.shape)
-
-
-add = _binary("add", np.add, lambda ct, out, a, b: (_sum_to(ct, a.shape), _sum_to(ct, b.shape)))
-sub = _binary("sub", np.subtract, lambda ct, out, a, b: (_sum_to(ct, a.shape), _sum_to(neg(ct), b.shape)))
-mul = _binary("mul", np.multiply, _mul_vjp)
-div = _binary("div", np.divide, _div_vjp)
-neg = _unary("neg", np.negative, lambda ct, out, a: (neg(ct),))
-exp = _unary("exp", np.exp, lambda ct, out, a: (mul(ct, out),))
-log = _unary("log", np.log, lambda ct, out, a: (div(ct, a),))
-sqrt = _unary("sqrt", np.sqrt, lambda ct, out, a: (div(ct, mul(2.0, out)),))
-sin = _unary("sin", np.sin, lambda ct, out, a: (mul(ct, cos(a)),))
-cos = _unary("cos", np.cos, lambda ct, out, a: (neg(mul(ct, sin(a))),))
-tanh = _unary("tanh", np.tanh, lambda ct, out, a: (mul(ct, sub(1.0, mul(out, out))),))
-sigmoid = _unary("sigmoid", _logistic, lambda ct, out, a: (mul(ct, mul(out, sub(1.0, out))),))
+add = _binary("add", np.add, lambda ct, out, a, b: _sum_to(ct, a.shape),
+              lambda ct, out, a, b: _sum_to(ct, b.shape))
+sub = _binary("sub", np.subtract, lambda ct, out, a, b: _sum_to(ct, a.shape),
+              lambda ct, out, a, b: _sum_to(neg(ct), b.shape))
+mul = _binary("mul", np.multiply, lambda ct, out, a, b: _sum_to(mul(ct, b), a.shape),
+              lambda ct, out, a, b: _sum_to(mul(ct, a), b.shape))
+div = _binary("div", np.divide, lambda ct, out, a, b: _sum_to(div(ct, b), a.shape),
+              lambda ct, out, a, b: _sum_to(neg(div(mul(ct, out), b)), b.shape))
+neg = _unary("neg", np.negative, lambda ct, out, a: neg(ct))
+exp = _unary("exp", np.exp, lambda ct, out, a: mul(ct, out))
+log = _unary("log", np.log, lambda ct, out, a: div(ct, a))
+sqrt = _unary("sqrt", np.sqrt, lambda ct, out, a: div(ct, mul(2.0, out)))
+sin = _unary("sin", np.sin, lambda ct, out, a: mul(ct, cos(a)))
+cos = _unary("cos", np.cos, lambda ct, out, a: neg(mul(ct, sin(a))))
+tanh = _unary("tanh", np.tanh, lambda ct, out, a: mul(ct, sub(1.0, mul(out, out))))
+sigmoid = _unary("sigmoid", _logistic, lambda ct, out, a: mul(ct, mul(out, sub(1.0, out))))
 
 
 def pow_const(a, p: float):
     p = float(p)
     if type(a) is not Node:
         return a**p
-    return Node(a.value**p, "pow", (a,), lambda ct, out, a: (mul(ct, mul(p, pow_const(a, p - 1.0))),))
+    return Node(a.value**p, "pow", (a,), (lambda ct, out, a: mul(ct, mul(p, pow_const(a, p - 1.0))),))
 
 
 def sum_(a, axis=None, keepdims=False):
@@ -208,9 +212,9 @@ def sum_(a, axis=None, keepdims=False):
         kshape = tuple(1 if i in axes else n for i, n in enumerate(shape))
 
     def vjp(ct, out, a):
-        return (broadcast_to(ct if kshape is None else reshape(ct, kshape), shape),)
+        return broadcast_to(ct if kshape is None else reshape(ct, kshape), shape)
 
-    return Node(np.sum(a.value, axis=axis, keepdims=keepdims), "sum", (a,), vjp)
+    return Node(np.sum(a.value, axis=axis, keepdims=keepdims), "sum", (a,), (vjp,))
 
 
 def mean(a, axis=None, keepdims=False) -> Node:
@@ -223,13 +227,13 @@ def mean(a, axis=None, keepdims=False) -> Node:
 
 def _sum_exact_vjp(ct, out, a):
     g = reshape(ct, (1,) * len(a.shape)) if a.shape else ct
-    return (broadcast_to(g, a.shape),)
+    return broadcast_to(g, a.shape)
 
 
 def sum_exact(a):
     """Correctly rounded full reduction (math.fsum); order-independent."""
     val = np.asarray(math.fsum(np.ravel(_value(a)).tolist()))
-    return Node(val, "fsum", (a,), _sum_exact_vjp) if type(a) is Node else val
+    return Node(val, "fsum", (a,), (_sum_exact_vjp,)) if type(a) is Node else val
 
 
 def segment_sum(a, segment_ids, num_segments: int, exact: bool = False):
@@ -250,11 +254,13 @@ def segment_sum(a, segment_ids, num_segments: int, exact: bool = False):
         np.add.at(val, ids, x)
     if type(a) is not Node:
         return val
-    return Node(val, "segment_sum", (a,), lambda ct, out, a: (take(ct, (ids,)),))
+    return Node(val, "segment_sum", (a,), (lambda ct, out, a: take(ct, (ids,)),))
 
 
-def _matmul_vjp(ct, out, a, b):
-    return _sum_to(matmul(ct, _swap_last(b)), a.shape), _sum_to(matmul(_swap_last(a), ct), b.shape)
+_MATMUL_VJP = (
+    lambda ct, out, a, b: _sum_to(matmul(ct, _swap_last(b)), a.shape),
+    lambda ct, out, a, b: _sum_to(matmul(_swap_last(a), ct), b.shape),
+)
 
 
 def matmul(a, b):
@@ -264,7 +270,7 @@ def matmul(a, b):
     a, b = as_node(a), as_node(b)
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    return Node(a.value @ b.value, "matmul", (a, b), _matmul_vjp)
+    return Node(a.value @ b.value, "matmul", (a, b), _MATMUL_VJP)
 
 
 def _swap_last(a):
@@ -278,20 +284,20 @@ def transpose(a, axes=None):
     if axes is None:
         axes = tuple(reversed(range(a.value.ndim)))
     inv = tuple(np.argsort(axes))
-    return Node(np.transpose(a.value, axes), "transpose", (a,), lambda ct, out, a: (transpose(ct, inv),))
+    return Node(np.transpose(a.value, axes), "transpose", (a,), (lambda ct, out, a: transpose(ct, inv),))
 
 
 def reshape(a, shape):
     if type(a) is not Node:
         return np.reshape(a, shape)
-    return Node(np.reshape(a.value, shape), "reshape", (a,), lambda ct, out, a: (reshape(ct, a.shape),))
+    return Node(np.reshape(a.value, shape), "reshape", (a,), (lambda ct, out, a: reshape(ct, a.shape),))
 
 
 def broadcast_to(a, shape):
     if type(a) is not Node:
         return np.broadcast_to(a, shape).copy()
     val = np.broadcast_to(a.value, shape).copy()
-    return Node(val, "broadcast", (a,), lambda ct, out, a: (_sum_to(ct, a.shape),))
+    return Node(val, "broadcast", (a,), (lambda ct, out, a: _sum_to(ct, a.shape),))
 
 
 def concat(nodes, axis=0):
@@ -299,16 +305,13 @@ def concat(nodes, axis=0):
         return np.concatenate(nodes, axis=axis)
     nodes = [as_node(n) for n in nodes]
     offsets = np.cumsum([0] + [n.value.shape[axis] for n in nodes])
-    keys = []
+    vjps = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         key = [slice(None)] * nodes[0].value.ndim
         key[axis] = slice(int(lo), int(hi))
-        keys.append(tuple(key))
-
-    def vjp(ct, out, *parents):
-        return tuple(take(ct, key) for key in keys)
-
-    return Node(np.concatenate([n.value for n in nodes], axis=axis), "concat", tuple(nodes), vjp)
+        # the key is bound as a default: a closure would see only the last one
+        vjps.append(lambda ct, out, *parents, key=tuple(key): take(ct, key))
+    return Node(np.concatenate([n.value for n in nodes], axis=axis), "concat", tuple(nodes), tuple(vjps))
 
 
 def take(a, key):
@@ -318,7 +321,7 @@ def take(a, key):
     val = a.value[key]
     if np.isscalar(val) or val.ndim == 0:
         val = np.asarray(val, dtype=float)
-    return Node(val, "take", (a,), lambda ct, out, a: (scatter_add(a.shape, key, ct),))
+    return Node(val, "take", (a,), (lambda ct, out, a: scatter_add(a.shape, key, ct),))
 
 
 def scatter_add(shape, key, values):
@@ -327,7 +330,7 @@ def scatter_add(shape, key, values):
     np.add.at(out, key, _value(values))
     if type(values) is not Node:
         return out
-    return Node(out, "scatter_add", (values,), lambda ct, out, values: (take(ct, key),))
+    return Node(out, "scatter_add", (values,), (lambda ct, out, values: take(ct, key),))
 
 
 def where_mask(mask, a, b):
@@ -337,13 +340,11 @@ def where_mask(mask, a, b):
         return np.where(mask, a, b)
     a, b = as_node(a), as_node(b)
 
-    def vjp(ct, out, a, b):
-        return (
-            _sum_to(where_mask(mask, ct, 0.0), a.shape),
-            _sum_to(where_mask(mask, 0.0, ct), b.shape),
-        )
-
-    return Node(np.where(mask, a.value, b.value), "where", (a, b), vjp)
+    vjps = (
+        lambda ct, out, a, b: _sum_to(where_mask(mask, ct, 0.0), a.shape),
+        lambda ct, out, a, b: _sum_to(where_mask(mask, 0.0, ct), b.shape),
+    )
+    return Node(np.where(mask, a.value, b.value), "where", (a, b), vjps)
 
 
 def norm(a, axis=-1, keepdims=False):
@@ -365,9 +366,9 @@ def norm(a, axis=-1, keepdims=False):
             out, ct = reshape(out, tuple(kshape)), reshape(ct, tuple(kshape))
         nonzero = _value(out) > 0
         safe = where_mask(nonzero, out, 1.0)
-        return (where_mask(np.broadcast_to(nonzero, a.shape), div(mul(ct, a), safe), 0.0),)
+        return where_mask(np.broadcast_to(nonzero, a.shape), div(mul(ct, a), safe), 0.0)
 
-    return Node(val, "norm", (a,), vjp)
+    return Node(val, "norm", (a,), (vjp,))
 
 
 @dataclass(frozen=True)
@@ -430,6 +431,12 @@ def _reachable(output: Node) -> list[Node]:
 def grad(output: Node, wrt, allow_unused: bool = False, create_graph: bool = True) -> list[Node]:
     """Gradients of a scalar output with respect to each node in ``wrt``.
 
+    One pass over the graph in creation order collects the nodes on a path
+    from some target to the output; the reverse walk visits only those,
+    and calls a node's ``vjp[i]`` only when parent ``i`` is one of them
+    too. Cotangents that could reach no target are never computed, so the
+    gradients are the same bits as if every cotangent had been.
+
     With ``create_graph=True`` the VJPs run on nodes, so the returned
     gradients are graph nodes that can be differentiated again. That is
     what the trainer's force-loss step does with its forces, and what
@@ -447,45 +454,43 @@ def grad(output: Node, wrt, allow_unused: bool = False, create_graph: bool = Tru
     if output.value.size != 1:
         raise ValueError("grad requires a scalar output")
     wrt = list(wrt)
-    nodes = _reachable(output)
-    ids = {n.tid for n in nodes}
-    for w in wrt:
-        if w.tid not in ids and not allow_unused:
+    want = {w.tid for w in wrt}
+    relevant = set()
+    path = []
+    for n in _reachable(output):  # ascending creation order: parents first
+        if n.tid in want or any(p.tid in relevant for p in n.parents):
+            relevant.add(n.tid)
+            path.append(n)
+    for w in wrt:  # a reachable target is relevant by definition
+        if w.tid not in relevant and not allow_unused:
             raise MissingDependencyError(
                 f"node {w.tid} ({w.op}) is not part of the evaluated graph"
             )
 
-    # Only walk nodes that lie on a path from some target to the output.
-    want = {w.tid for w in wrt}
-    relevant = set()
-    for n in nodes:  # ascending creation order: parents first
-        if n.tid in want or any(p.tid in relevant for p in n.parents):
-            relevant.add(n.tid)
-
     seed = np.ones(output.value.shape)
     cot = {output.tid: constant(seed) if create_graph else seed}
-    for n in reversed(nodes):
-        if n.vjp is None or n.tid not in relevant:
+    for n in reversed(path):
+        if n.vjp is None:
             continue
         # every consumer of n was created after it, so its cotangent is complete
         ct = cot.get(n.tid) if n.tid in want else cot.pop(n.tid, None)
         if ct is None:
             continue
         if create_graph:
-            grads = n.vjp(ct, n, *n.parents)
+            out, args = n, n.parents
         else:
-            grads = n.vjp(ct, n.value, *[p.value for p in n.parents])
-        for p, g in zip(n.parents, grads):
-            if g is None or p.tid not in relevant:
-                continue
-            have = cot.get(p.tid)
-            cot[p.tid] = g if have is None else add(have, g)
+            out, args = n.value, [p.value for p in n.parents]
+        for p, vjp in zip(n.parents, n.vjp):
+            if p.tid in relevant:
+                g = vjp(ct, out, *args)
+                have = cot.get(p.tid)
+                cot[p.tid] = g if have is None else add(have, g)
 
-    out = []
+    grads = []
     for w in wrt:
         g = cot.get(w.tid)
-        out.append(g if type(g) is Node else constant(np.zeros(w.value.shape) if g is None else g))
-    return out
+        grads.append(g if type(g) is Node else constant(np.zeros(w.value.shape) if g is None else g))
+    return grads
 
 
 def release(*roots) -> None:

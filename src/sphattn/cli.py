@@ -5,8 +5,9 @@ with a manifest.json recording the command, the resolved configuration,
 the seed, and the artifact names. Rerunning with the same inputs
 reproduces every artifact byte for byte; the manifest's timestamps are
 the single exception. Option values resolve as flag > config file >
-built-in default; the config file is flat ``key = value`` text and the
-key registry is the table in the README.
+built-in default; the config file is flat ``key = value`` text, and
+``REGISTRY`` below lists every key it may set with the parser of its
+value.
 
 --threads pins all BLAS thread-pool sizes before numpy is first
 imported, which is what makes --threads 1 bit-reproducible. That only

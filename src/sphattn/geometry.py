@@ -12,6 +12,7 @@ Fejer weights integrate every spherical harmonic with l < n_theta and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Quadrature grid on the unit sphere: N = n_theta * n_phi points."""
+    """Quadrature grid on the unit sphere: N = n_theta * n_phi points.
+
+    ``points`` and ``weights`` are read-only copies, so one grid can be
+    shared by every caller (see ``build_equiangular_grid``).
+    """
 
     n_theta: int
     n_phi: int
@@ -27,8 +32,8 @@ class SphericalGrid:
     weights: np.ndarray  # (N,) positive, sum 4 pi
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        pts = np.array(self.points, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if pts.shape != (self.n_theta * self.n_phi, 3):
             raise ValueError("grid points must have shape (n_theta*n_phi, 3)")
         if w.shape != (pts.shape[0],):
@@ -39,6 +44,8 @@ class SphericalGrid:
             raise ValueError("quadrature weights must be positive")
         if abs(w.sum() - 4 * np.pi) > 1e-10 * 4 * np.pi:
             raise ValueError("quadrature weights must sum to 4 pi")
+        pts.flags.writeable = False
+        w.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -64,8 +71,13 @@ def _fejer_colatitude_weights(n: int) -> np.ndarray:
     return (2.0 / n) * (1.0 - corr)
 
 
+@functools.lru_cache(maxsize=32)
 def build_equiangular_grid(n_theta: int, n_phi: int) -> SphericalGrid:
-    """Cell-centered equiangular grid with exact-sum quadrature weights."""
+    """Cell-centered equiangular grid with exact-sum quadrature weights.
+
+    Memoized: repeated calls with the same sizes return the same
+    read-only grid object, so a model's grid is built once per process.
+    """
     if n_theta < 1 or n_phi < 1:
         raise ValueError("grid sizes must be positive")
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta

@@ -268,3 +268,50 @@ def test_dropped_graph_is_freed_without_the_cycle_collector():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def _unreachable_vjp(ct, out, *parents):
+    raise AssertionError("cotangent computed for a parent off every target path")
+
+
+def _probe(x, w):
+    # x * w whose VJP for w must never run
+    return ad.Node(x.value * w.value, "probe", (x, w), (lambda ct, out, x, w: ad.mul(ct, w), _unreachable_vjp))
+
+
+def test_grad_skips_the_vjp_of_a_constant_parent():
+    x = ad.leaf(rng.normal(size=(2, 3)))
+    c = ad.constant(rng.normal(size=(2, 3)))
+
+    def loss(m):
+        return ad.sum_(ad.tanh(ad.mul(m, m)))
+
+    for create_graph in (True, False):
+        (g,) = ad.grad(loss(_probe(x, c)), [x], create_graph=create_graph)
+        (ref,) = ad.grad(loss(ad.mul(x, c)), [x], create_graph=create_graph)
+        assert np.array_equal(g.value, ref.value)
+
+
+def test_taped_position_gradient_skips_the_parameter_vjp():
+    # the trainer's force pass differentiates with respect to positions
+    # only; a parameter leaf's cotangent is never needed there
+    pos = ad.leaf(rng.normal(size=(3, 3)))
+    w = ad.leaf(rng.normal(size=(1, 3)))
+    (g,) = ad.grad(ad.sum_(ad.sin(_probe(pos, w))), [pos])
+    (ref,) = ad.grad(ad.sum_(ad.sin(ad.mul(pos, w))), [pos])
+    assert np.array_equal(g.value, ref.value)
+    # the taped gradient still depends on the parameter
+    assert any(n is w for n in ad._reachable(g))
+
+
+def test_concat_sends_each_piece_its_own_slice():
+    # pieces of different widths: a late-binding closure over the slice
+    # keys would hand every piece the last slice
+    pieces = [ad.leaf(rng.normal(size=(2, k))) for k in (1, 3, 2)]
+    weights = rng.normal(size=(2, 6))
+    out = ad.sum_(ad.mul(ad.concat(pieces, axis=1), ad.constant(weights)))
+    for create_graph in (True, False):
+        grads = ad.grad(out, pieces, create_graph=create_graph)
+        assert [g.shape for g in grads] == [(2, 1), (2, 3), (2, 2)]
+        for g, lo, hi in zip(grads, (0, 1, 4), (1, 4, 6)):
+            assert np.array_equal(g.value, weights[:, lo:hi])

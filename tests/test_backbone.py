@@ -483,6 +483,9 @@ def test_with_grid_preserves_energy_in_ungated_limit():
     assert np.array_equal(f0, f1)
     # the original model is untouched
     assert state.config["grid"] != (16, 32)
+    # both models read the one memoized grid of their own size
+    assert bb.model_grid(moved) is bb.build_equiangular_grid(16, 32)
+    assert bb.model_grid(state) is not bb.model_grid(moved)
 
 
 def test_with_grid_refuses_learned_positional_embedding():

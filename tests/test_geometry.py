@@ -224,3 +224,17 @@ def test_rotated_grid_is_valid_and_keeps_weights():
     gr = g.rotated(random_rotation(rng))
     assert np.array_equal(gr.weights, g.weights)
     assert abs(gr.weights.sum() - FOUR_PI) < 1e-12
+
+
+def test_equiangular_grid_is_built_once_and_read_only():
+    g = geometry.build_equiangular_grid(4, 8)
+    assert geometry.build_equiangular_grid(4, 8) is g
+    for arr in (g.points, g.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # a rotated grid is a new, equally read-only grid with the same weights
+    gr = g.rotated(random_rotation(np.random.default_rng(3)))
+    assert gr is not g and not gr.points.flags.writeable
+    assert np.array_equal(gr.weights, g.weights)
+    assert np.array_equal(g.points, geometry.build_equiangular_grid(4, 8).points)
