@@ -6,24 +6,23 @@ features, and (optionally) a per-grid-point positional embedding that is
 anchored in the global frame and deliberately does not rotate with the
 inputs. The attention output is a softmax-weighted quadrature average;
 pooling it over the grid and squashing yields one gate scalar per edge.
+``edge_gate`` chains these steps and is the one gate path; the backbone
+calls it once per layer.
 
-With zero-initialized gate weights every gate starts at 0.5. Everything
-runs on autodiff nodes; plain-array inputs give plain-array outputs.
+With zero-initialized gate weights every gate starts at 0.5. Every
+function is written in autodiff primitives: if any input or parameter
+is a node the output is a node, and plain arrays give plain arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from . import field as field_mod
-from .geometry import SphericalGrid, neighbor_list
-
-if TYPE_CHECKING:
-    from .backbone import AtomicConfiguration
+from .geometry import SphericalGrid
 
 FOUR_PI = 4.0 * np.pi
 
@@ -35,7 +34,7 @@ class NumericalOverflowError(FloatingPointError):
 
 
 def _val(x):
-    return x.value if isinstance(x, ad.Node) else np.asarray(x, dtype=float)
+    return np.asarray(ad.value_of(x), dtype=float)
 
 
 @dataclass
@@ -58,7 +57,6 @@ class MaraParams:
     gate_b: object  # ()
     heads: int = 1
     positional_encoding: bool = True
-    learnable: bool = True
     gate_activation: str = "logistic"
 
     def __post_init__(self):
@@ -101,7 +99,6 @@ def init_mara_params(
     n_grid: int,
     heads: int = 1,
     positional_encoding: bool = True,
-    learnable: bool = True,
     gate_activation: str = "logistic",
     random_gate: bool = False,
 ) -> MaraParams:
@@ -125,7 +122,6 @@ def init_mara_params(
         gate_b=np.asarray(rng.normal(0.0, 0.5)) if random_gate else np.zeros(()),
         heads=heads,
         positional_encoding=positional_encoding,
-        learnable=learnable,
         gate_activation=gate_activation,
     )
 
@@ -143,9 +139,10 @@ class AttentionField:
         return _val(self.q).shape[-2]
 
 
-def _project(h, w, feats, wf, pos) -> ad.Node:
+def _project(h, w, feats, wf, pos):
     # h: (..., d_h), feats: (..., G, d_f) -> (..., G, d)
-    hq = ad.matmul(ad.reshape(h, h.value.shape[:-1] + (1, h.value.shape[-1])), ad.transpose(w))
+    shape = np.shape(ad.value_of(h))
+    hq = ad.matmul(ad.reshape(h, shape[:-1] + (1, shape[-1])), ad.transpose(w))
     fq = ad.matmul(feats, ad.transpose(wf))
     out = ad.add(hq, fq)
     if pos is not None:
@@ -160,23 +157,16 @@ def build_qkv(h_i, h_j, field_feats, params: MaraParams) -> AttentionField:
     sending atom's; all three share the same field features and the same
     positional embeddings.
     """
-    taped = any(isinstance(x, ad.Node) for x in (h_i, h_j, field_feats)) or any(
-        isinstance(getattr(params, n), ad.Node)
-        for n in ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field", "pos")
-    )
-    hi, hj = ad.as_node(h_i), ad.as_node(h_j)
-    feats = ad.as_node(field_feats)
-    if feats.value.shape[-1] != params.d_f:
+    shape = np.shape(ad.value_of(field_feats))
+    if shape[-1] != params.d_f:
         raise ValueError("field feature width does not match the field projections")
-    if feats.value.shape[-2] != params.n_grid:
+    if shape[-2] != params.n_grid:
         raise ValueError("field features and positional embeddings disagree on grid size")
-    pos = ad.as_node(params.pos) if params.positional_encoding else None
-    q = _project(hi, ad.as_node(params.wq_node), feats, ad.as_node(params.wq_field), pos)
-    k = _project(hj, ad.as_node(params.wk_node), feats, ad.as_node(params.wk_field), pos)
-    v = _project(hj, ad.as_node(params.wv_node), feats, ad.as_node(params.wv_field), pos)
-    if taped:
-        return AttentionField(q, k, v)
-    return AttentionField(q.value, k.value, v.value)
+    pos = params.pos if params.positional_encoding else None
+    q = _project(h_i, params.wq_node, field_feats, params.wq_field, pos)
+    k = _project(h_j, params.wk_node, field_feats, params.wk_field, pos)
+    v = _project(h_j, params.wv_node, field_feats, params.wv_field, pos)
+    return AttentionField(q, k, v)
 
 
 def spherical_attention(af: AttentionField, grid: SphericalGrid, heads: int = 1):
@@ -187,99 +177,66 @@ def spherical_attention(af: AttentionField, grid: SphericalGrid, heads: int = 1)
     evaluated per head with d the head width; logits are shifted by their
     (detached) row maximum before exponentiation.
     """
-    taped = any(isinstance(x, ad.Node) for x in (af.q, af.k, af.v))
-    q, k, v = ad.as_node(af.q), ad.as_node(af.k), ad.as_node(af.v)
-    g = q.value.shape[-2]
-    if g != grid.n_points:
+    shape = np.shape(ad.value_of(af.q))
+    if shape[-2] != grid.n_points:
         raise ValueError("attention field does not match the grid size")
-    d = q.value.shape[-1]
+    d = shape[-1]
     if heads < 1 or d % heads:
         raise ValueError("heads must divide the attention width")
     dh = d // heads
 
-    def split(x):  # (..., G, d) -> (..., H, G, dh)
-        n = x.value.ndim + 1
-        x = ad.reshape(x, x.value.shape[:-1] + (heads, dh))
-        return ad.transpose(x, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+    def swap(x, a, b):  # transpose two axes counted from the end
+        order = list(range(np.ndim(ad.value_of(x))))
+        order[a], order[b] = order[b], order[a]
+        return ad.transpose(x, tuple(order))
 
-    qh, kh, vh = split(q), split(k), split(v)
-    logits = ad.mul(ad.matmul(qh, ad.transpose(kh, tuple(range(kh.value.ndim - 2)) + (kh.value.ndim - 1, kh.value.ndim - 2))), 1.0 / np.sqrt(dh))
-    if not np.all(np.isfinite(logits.value)):
+    def split(x):  # (..., G, d) -> (..., H, G, dh)
+        x = ad.reshape(x, np.shape(ad.value_of(x))[:-1] + (heads, dh))
+        return swap(x, -3, -2)
+
+    qh, kh, vh = split(af.q), split(af.k), split(af.v)
+    logits = ad.mul(ad.matmul(qh, swap(kh, -2, -1)), 1.0 / np.sqrt(dh))
+    logits_val = ad.value_of(logits)
+    if not np.all(np.isfinite(logits_val)):
         raise NumericalOverflowError("non-finite attention logits")
-    shift = ad.constant(np.max(logits.value, axis=-1, keepdims=True))
-    e = ad.mul(ad.exp(ad.sub(logits, shift)), ad.constant(grid.weights))
+    shift = np.max(logits_val, axis=-1, keepdims=True)
+    e = ad.mul(ad.exp(ad.sub(logits, shift)), grid.weights)
     num = ad.matmul(e, vh)  # (..., H, G, dh)
     den = ad.sum_(e, axis=-1, keepdims=True)
-    out = ad.div(num, den)
-    n = out.value.ndim
-    out = ad.transpose(out, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
-    out = ad.reshape(out, out.value.shape[:-2] + (d,))
-    return out if taped else out.value
+    out = swap(ad.div(num, den), -3, -2)  # (..., G, H, dh)
+    return ad.reshape(out, np.shape(ad.value_of(out))[:-2] + (d,))
 
 
 def pool_attention(attn_out, grid: SphericalGrid):
     """Quadrature mean of the attention output over the grid: (..., d)."""
-    taped = isinstance(attn_out, ad.Node)
-    a = ad.as_node(attn_out)
-    if a.value.shape[-2] != grid.n_points:
+    if np.shape(ad.value_of(attn_out))[-2] != grid.n_points:
         raise ValueError("attention output does not match the grid size")
-    w = ad.constant(grid.weights[:, None] / FOUR_PI)
-    pooled = ad.sum_(ad.mul(a, w), axis=-2)
-    return pooled if taped else pooled.value
+    return ad.sum_(ad.mul(attn_out, grid.weights[:, None] / FOUR_PI), axis=-2)
 
 
 def gate_preactivation(pooled, params: MaraParams):
-    taped = isinstance(pooled, ad.Node) or isinstance(params.gate_w, ad.Node)
-    p = ad.as_node(pooled)
-    z = ad.add(ad.sum_(ad.mul(p, ad.as_node(params.gate_w)), axis=-1), ad.as_node(params.gate_b))
-    return z if taped else z.value
+    return ad.add(ad.sum_(ad.mul(pooled, params.gate_w), axis=-1), params.gate_b)
 
 
 def gate_activation(z, kind: str):
     if kind == "logistic":
-        out = ad.sigmoid(ad.as_node(z))
-    elif kind == "sinusoidal":
-        out = ad.mul(ad.add(ad.sin(ad.as_node(z)), 1.0), 0.5)
-    else:
-        raise ValueError(f"gate_activation must be one of {GATE_ACTIVATIONS}")
-    return out if isinstance(z, ad.Node) else out.value
+        return ad.sigmoid(z)
+    if kind == "sinusoidal":
+        return ad.mul(ad.add(ad.sin(z), 1.0), 0.5)
+    raise ValueError(f"gate_activation must be one of {GATE_ACTIVATIONS}")
 
 
-def pool_and_gate(attn_out, grid: SphericalGrid, params: MaraParams):
-    """Pool the attention output over the grid and squash to a gate in (0, 1)."""
-    pooled = pool_attention(attn_out, grid)
-    z = gate_preactivation(pooled, params)
-    return gate_activation(z, params.gate_activation)
+def edge_gate(x_i, x_j, h_i, h_j, grid: SphericalGrid, params: MaraParams, field_mode: str):
+    """Gate in (0, 1) and pooled attention output for each edge (i, j).
 
-
-def edge_gates(
-    config: "AtomicConfiguration",
-    features,
-    grid: SphericalGrid,
-    params: MaraParams,
-    mode: str = "scalar",
-    neighbors=None,
-    cutoff: float = 5.0,
-):
-    """Gate value for every ordered edge of the configuration.
-
-    ``features`` holds one d_h row per atom. Edges come from ``neighbors``
-    or a fresh neighbor list under ``cutoff``; gates are returned in edge
-    order. Raises ValueError when no edges exist.
+    x_* are the (..., 3) positions and h_* the (..., d_h) scalar features
+    of the receiving and sending atoms, one row per edge. Runs the field,
+    its features, Q/K/V, the spherical attention, the grid pooling and
+    the gate head; returns (alpha (...,), pooled (..., d)).
     """
-    nl = neighbors if neighbors is not None else neighbor_list(config.positions, cutoff)
-    if nl.n_edges == 0:
-        raise ValueError("empty neighbor list: no edges to gate")
-    taped = isinstance(features, ad.Node)
-    feats_node = ad.as_node(features)
-    pos = ad.constant(config.positions)
-    recv, send = nl.edges[:, 0], nl.edges[:, 1]
-    xi, xj = ad.take(pos, (recv,)), ad.take(pos, (send,))
-    f = field_mod.grid_field(xi, xj, grid)
-    ff = field_mod.field_features(f, mode)
-    af = build_qkv(ad.take(feats_node, (recv,)), ad.take(feats_node, (send,)), ff, params)
-    out = spherical_attention(af, grid, heads=params.heads)
-    alpha = pool_and_gate(out, grid, params)
-    if taped or any(isinstance(getattr(params, n), ad.Node) for n in ("wq_node", "gate_w")):
-        return alpha
-    return _val(alpha)
+    f = field_mod.grid_field(x_i, x_j, grid)
+    ff = field_mod.field_features(f, field_mode)
+    out = spherical_attention(build_qkv(h_i, h_j, ff, params), grid, heads=params.heads)
+    pooled = pool_attention(out, grid)
+    alpha = gate_activation(gate_preactivation(pooled, params), params.gate_activation)
+    return alpha, pooled

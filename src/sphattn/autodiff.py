@@ -12,8 +12,11 @@ keeps only static data (shapes, axes, index keys) and never a node, so no
 node refers to itself and a finished graph is freed by refcounting alone.
 
 Every primitive returns a plain array when none of its arguments is a
-Node, and a Node otherwise. The VJPs are written in those primitives, so
-one definition serves both kinds of backward pass:
+Node, and a Node otherwise, so code written in them needs no mode switch
+of its own: it runs as plain numpy on arrays and records a graph as soon
+as one input is a node. ``value_of`` reads the array behind either. The
+VJPs are written in those primitives, so one definition serves both
+kinds of backward pass:
 
 * ``grad(..., create_graph=True)``, the default, hands the VJPs nodes.
   The gradients it returns are graph nodes themselves, so a force
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +127,8 @@ def detach(x: Node) -> Node:
     return constant(x.value)
 
 
-def _value(x):
+def value_of(x):
+    """The array behind ``x``: a Node's value, or ``x`` itself otherwise."""
     return x.value if type(x) is Node else x
 
 
@@ -217,12 +220,12 @@ def sum_(a, axis=None, keepdims=False):
     return Node(np.sum(a.value, axis=axis, keepdims=keepdims), "sum", (a,), (vjp,))
 
 
-def mean(a, axis=None, keepdims=False) -> Node:
-    a = as_node(a)
-    n = a.value.size if axis is None else np.prod(
-        [a.value.shape[ax] for ax in ((axis,) if isinstance(axis, int) else axis)]
+def mean(a, axis=None, keepdims=False):
+    x = value_of(a)
+    n = x.size if axis is None else np.prod(
+        [x.shape[ax] for ax in ((axis,) if isinstance(axis, int) else axis)]
     )
-    return div(sum_(a, axis=axis, keepdims=keepdims), constant(float(n)))
+    return div(sum_(a, axis=axis, keepdims=keepdims), float(n))
 
 
 def _sum_exact_vjp(ct, out, a):
@@ -232,7 +235,7 @@ def _sum_exact_vjp(ct, out, a):
 
 def sum_exact(a):
     """Correctly rounded full reduction (math.fsum); order-independent."""
-    val = np.asarray(math.fsum(np.ravel(_value(a)).tolist()))
+    val = np.asarray(math.fsum(np.ravel(value_of(a)).tolist()))
     return Node(val, "fsum", (a,), (_sum_exact_vjp,)) if type(a) is Node else val
 
 
@@ -243,7 +246,7 @@ def segment_sum(a, segment_ids, num_segments: int, exact: bool = False):
     With ``exact=True`` (1-d input only) each bucket uses math.fsum, so
     the result does not depend on row order at all.
     """
-    x = _value(a)
+    x = value_of(a)
     ids = np.asarray(segment_ids, dtype=int)
     if exact:
         if x.ndim != 1:
@@ -327,7 +330,7 @@ def take(a, key):
 def scatter_add(shape, key, values):
     """Zeros of ``shape`` with ``values`` added at ``key`` (duplicates accumulate)."""
     out = np.zeros(shape)
-    np.add.at(out, key, _value(values))
+    np.add.at(out, key, value_of(values))
     if type(values) is not Node:
         return out
     return Node(out, "scatter_add", (values,), (lambda ct, out, values: take(ct, key),))
@@ -353,7 +356,7 @@ def norm(a, axis=-1, keepdims=False):
     Implemented as a primitive rather than sqrt(sum(x^2)) so the gradient
     at the zero vector is exactly zero instead of NaN.
     """
-    x = _value(a)
+    x = value_of(a)
     val = np.asarray(np.sqrt(np.sum(x * x, axis=axis, keepdims=keepdims)))
     if type(a) is not Node:
         return val
@@ -364,55 +367,11 @@ def norm(a, axis=-1, keepdims=False):
     def vjp(ct, out, a):
         if not keepdims:
             out, ct = reshape(out, tuple(kshape)), reshape(ct, tuple(kshape))
-        nonzero = _value(out) > 0
+        nonzero = value_of(out) > 0
         safe = where_mask(nonzero, out, 1.0)
         return where_mask(np.broadcast_to(nonzero, a.shape), div(mul(ct, a), safe), 0.0)
 
     return Node(val, "norm", (a,), (vjp,))
-
-
-@dataclass(frozen=True)
-class TapeEntry:
-    op: str
-    node_id: int
-    parent_ids: tuple[int, ...]
-    shape: tuple[int, ...]
-
-
-class Tape:
-    """Ordered record of the primitive operations reachable from an output.
-
-    Entries appear in creation order, which is a valid topological order:
-    every node's parents were created (and therefore recorded) before it.
-    """
-
-    def __init__(self, entries: list[TapeEntry]):
-        self.entries = entries
-
-    @classmethod
-    def from_output(cls, output: Node) -> "Tape":
-        nodes = _reachable(output)
-        return cls(
-            [
-                TapeEntry(n.op, n.tid, tuple(p.tid for p in n.parents), n.value.shape)
-                for n in nodes
-            ]
-        )
-
-    def validate(self) -> None:
-        seen = set()
-        last = -1
-        for e in self.entries:
-            if e.node_id <= last:
-                raise ValueError("tape entries out of creation order")
-            for p in e.parent_ids:
-                if p not in seen:
-                    raise ValueError(f"node {e.node_id} consumes unrecorded node {p}")
-            seen.add(e.node_id)
-            last = e.node_id
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def _reachable(output: Node) -> list[Node]:
@@ -428,7 +387,7 @@ def _reachable(output: Node) -> list[Node]:
     return [seen[t] for t in sorted(seen)]
 
 
-def grad(output: Node, wrt, allow_unused: bool = False, create_graph: bool = True) -> list[Node]:
+def grad(output, wrt, allow_unused: bool = False, create_graph: bool = True) -> list[Node]:
     """Gradients of a scalar output with respect to each node in ``wrt``.
 
     One pass over the graph in creation order collects the nodes on a path
@@ -449,8 +408,12 @@ def grad(output: Node, wrt, allow_unused: bool = False, create_graph: bool = Tru
 
     Targets that the output does not depend on raise
     MissingDependencyError unless ``allow_unused`` is set, in which case
-    they get zeros.
+    they get zeros. A plain-array output, which is what a computation
+    that never met a node returns, is lifted to a constant that depends
+    on no target: an edgeless structure under plain parameters gets zero
+    forces this way.
     """
+    output = as_node(output)
     if output.value.size != 1:
         raise ValueError("grad requires a scalar output")
     wrt = list(wrt)

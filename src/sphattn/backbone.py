@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import attention as attn_mod
 from . import field as field_mod
-from .geometry import NeighborList, build_equiangular_grid, neighbor_list, sh_index
+from .geometry import NeighborList, build_equiangular_grid, neighbor_list
 
 DEFAULT_CONFIG: dict = {
     "cutoff": 5.0,
@@ -55,7 +55,6 @@ class AtomicConfiguration:
     positions: np.ndarray  # (n, 3) Angstrom
     energy: float | None = None
     forces: np.ndarray | None = None
-    edge_features: np.ndarray | None = None  # accepted, unused by the model
     extra: dict = dc_field(default_factory=dict)  # passthrough comment fields
 
     def __post_init__(self):
@@ -156,7 +155,6 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
             rng, config["d"], c, d_f, grid.n_points,
             heads=config["heads"],
             positional_encoding=config["positional_encoding"],
-            learnable=config["learnable"],
             gate_activation=config["gate_activation"],
             random_gate=random_gate,
         )
@@ -175,7 +173,6 @@ def mara_view(params: dict, layer: int, config: dict) -> attn_mod.MaraParams:
         **{n: params[f"layer{layer}.attn.{n}"] for n in MARA_NAMES},
         heads=config["heads"],
         positional_encoding=config["positional_encoding"],
-        learnable=config["learnable"],
         gate_activation=config["gate_activation"],
     )
 
@@ -196,13 +193,12 @@ def radial_basis(r, r_c: float, n: int, envelope_p: int | None = 6):
         raise ValueError("need at least one basis function")
     if r_c <= 0:
         raise ValueError("cutoff must be positive")
-    taped = isinstance(r, ad.Node)
-    rn = ad.as_node(r)
-    if np.any(rn.value <= 0):
+    r_val = ad.value_of(r)
+    if np.any(r_val <= 0):
         raise ValueError("radial basis requires r > 0")
-    rr = ad.reshape(rn, rn.value.shape + (1,))
-    m = ad.constant(np.arange(1, n + 1, dtype=float))
-    b = ad.div(ad.mul(ad.sin(ad.mul(rr, ad.mul(m, np.pi / r_c))), np.sqrt(2.0 / r_c)), rr)
+    rr = ad.reshape(r, np.shape(r_val) + (1,))
+    m = np.arange(1, n + 1, dtype=float)
+    b = ad.div(ad.mul(ad.sin(ad.mul(rr, m * (np.pi / r_c))), np.sqrt(2.0 / r_c)), rr)
     if envelope_p is not None:
         p = int(envelope_p)
         x = ad.mul(rr, 1.0 / r_c)
@@ -215,9 +211,8 @@ def radial_basis(r, r_c: float, n: int, envelope_p: int | None = 6):
             ),
         )
         b = ad.mul(b, u)
-    inside = np.broadcast_to(rr.value < r_c, b.value.shape)
-    out = ad.where_mask(inside, b, ad.constant(np.zeros(())))
-    return out if taped else out.value
+    inside = np.broadcast_to(ad.value_of(rr) < r_c, np.shape(ad.value_of(b)))
+    return ad.where_mask(inside, b, np.zeros(()))
 
 
 _SH_C = {
@@ -229,19 +224,20 @@ _SH_C = {
 }
 
 
-def taped_harmonics(l_max: int, rhat: ad.Node) -> ad.Node:
-    """Real spherical harmonics of unit vectors as a differentiable node.
+def taped_harmonics(l_max: int, rhat):
+    """Real spherical harmonics of unit vectors, differentiable through rhat.
 
     Same Cartesian polynomials and ordering as
-    geometry.real_spherical_harmonics; rhat has shape (e, 3).
+    geometry.real_spherical_harmonics; rhat has shape (e, 3). A node in
+    gives a node out, a plain array a plain array.
     """
     if not 0 <= l_max <= 3:
         raise ValueError("l_max must be in [0, 3]")
-    e = rhat.value.shape[0]
+    e = np.shape(ad.value_of(rhat))[0]
     x = ad.take(rhat, (slice(None), 0))
     y = ad.take(rhat, (slice(None), 1))
     z = ad.take(rhat, (slice(None), 2))
-    cols = [ad.constant(np.full(e, _SH_C[0]))]
+    cols = [np.full(e, _SH_C[0])]
     if l_max >= 1:
         cols += [ad.mul(y, _SH_C[1]), ad.mul(z, _SH_C[1]), ad.mul(x, _SH_C[1])]
     if l_max >= 2:
@@ -277,25 +273,27 @@ def _species_index(species: np.ndarray, vocab: list[int]) -> np.ndarray:
 
 
 def _forward_blocks(
-    positions: ad.Node,
+    positions,
     species_idx: np.ndarray,
     edges: np.ndarray,
     cfg: dict,
     params: dict,
     gate_override: float | None = None,
     gate_trace: list | None = None,
-) -> dict[int, ad.Node]:
-    """Feature blocks after all layers, as nodes over the parameter table."""
+) -> dict:
+    """Feature blocks after all layers.
+
+    Nodes when the positions or any parameter used are nodes, plain
+    arrays otherwise.
+    """
     n = len(species_idx)
     lmax = cfg["l_max"]
     c = cfg["channels"]
     grid = build_equiangular_grid(*cfg["grid"])
 
-    embed = ad.as_node(params["embed"])
-    h = {0: ad.take(embed, (species_idx,))}
-    h[0] = ad.reshape(h[0], (n, 1, c))
+    h = {0: ad.reshape(ad.take(params["embed"], (species_idx,)), (n, 1, c))}
     for l in range(1, lmax + 1):
-        h[l] = ad.constant(np.zeros((n, 2 * l + 1, c)))
+        h[l] = np.zeros((n, 2 * l + 1, c))
 
     if len(edges):
         recv, send = edges[:, 0], edges[:, 1]
@@ -309,7 +307,7 @@ def _forward_blocks(
         basis = radial_basis(r, cfg["cutoff"], cfg["n_bessel"], cfg["envelope_p"])
 
         for t in range(cfg["layers"]):
-            radial = ad.matmul(basis, ad.transpose(ad.as_node(params[f"layer{t}.radial"])))
+            radial = ad.matmul(basis, ad.transpose(params[f"layer{t}.radial"]))
             radial = ad.reshape(radial, (ne, lmax + 1, c))
             scalars = ad.reshape(h[0], (n, c))
             s_j = ad.reshape(ad.take(scalars, (send,)), (ne, 1, c))
@@ -317,25 +315,20 @@ def _forward_blocks(
             alpha = pooled = None
             if cfg["gating"]:
                 if gate_override is not None:
-                    alpha = ad.constant(np.full(ne, float(gate_override)))
+                    alpha = np.full(ne, float(gate_override))
                 else:
                     mara = mara_view(
                         {k: params[k] for k in params if k.startswith(f"layer{t}.attn.")},
                         t, cfg,
                     )
-                    f = field_mod.grid_field(xi, xj, grid)
-                    ff = field_mod.field_features(f, cfg["field_mode"])
-                    af = attn_mod.build_qkv(
-                        ad.take(scalars, (recv,)), ad.take(scalars, (send,)), ff, mara
+                    alpha, pooled = attn_mod.edge_gate(
+                        xi, xj, ad.take(scalars, (recv,)), ad.take(scalars, (send,)),
+                        grid, mara, cfg["field_mode"],
                     )
-                    out = attn_mod.spherical_attention(af, grid, heads=cfg["heads"])
-                    pooled = attn_mod.pool_attention(out, grid)
-                    z = attn_mod.gate_preactivation(pooled, mara)
-                    alpha = attn_mod.gate_activation(z, mara.gate_activation)
             if gate_trace is not None:
                 gate_trace.append({
-                    "alpha": np.ones(ne) if alpha is None else np.array(alpha.value, dtype=float),
-                    "pooled_norm": np.zeros(ne) if pooled is None else np.linalg.norm(pooled.value, axis=-1),
+                    "alpha": np.ones(ne) if alpha is None else np.array(ad.value_of(alpha), dtype=float),
+                    "pooled_norm": np.zeros(ne) if pooled is None else np.linalg.norm(ad.value_of(pooled), axis=-1),
                 })
 
             new_h = {}
@@ -345,29 +338,27 @@ def _forward_blocks(
                 if alpha is not None:
                     msg = ad.mul(msg, ad.reshape(alpha, (ne, 1, 1)))
                 agg = ad.segment_sum(msg, recv, n)  # ascending edge order
-                mix = ad.transpose(ad.as_node(params[f"layer{t}.mix{j}"]))
-                new_h[j] = ad.add(h[j], ad.matmul(agg, mix))
+                new_h[j] = ad.add(h[j], ad.matmul(agg, ad.transpose(params[f"layer{t}.mix{j}"])))
             h = new_h
     return h
 
 
 def _forward_atom_energies(
-    positions: ad.Node,
+    positions,
     species_idx: np.ndarray,
     edges: np.ndarray,
     cfg: dict,
     params: dict,
     gate_override: float | None = None,
-) -> ad.Node:
+):
     """Per-atom energies (n,): linear readout of scalars plus references."""
     n, c = len(species_idx), cfg["channels"]
     h = _forward_blocks(positions, species_idx, edges, cfg, params, gate_override)
     scalars = ad.reshape(h[0], (n, c))
     # broadcast-multiply + per-row sum instead of a matvec: each atom's
     # readout then never depends on where its row sits in the batch
-    e_atom = ad.sum_(ad.mul(scalars, ad.as_node(params["readout"])), axis=-1)
-    ref = ad.take(ad.as_node(params["ref_energy"]), (species_idx,))
-    return ad.add(e_atom, ref)
+    e_atom = ad.sum_(ad.mul(scalars, params["readout"]), axis=-1)
+    return ad.add(e_atom, ad.take(params["ref_energy"], (species_idx,)))
 
 
 def _prep(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None):
@@ -383,9 +374,8 @@ def energy(config: AtomicConfiguration, state: ModelState, neighbors: NeighborLi
     identical atoms cannot change it through accumulation order.
     """
     idx, nl = _prep(config, state, neighbors)
-    e_atom = _forward_atom_energies(ad.constant(config.positions), idx, nl.edges, state.config, state.params)
-    total = ad.sum_exact(e_atom)
-    return float(total.value), e_atom.value
+    e_atom = _forward_atom_energies(config.positions, idx, nl.edges, state.config, state.params)
+    return float(ad.sum_exact(e_atom)), e_atom
 
 
 def energy_and_forces(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None, gate_override: float | None = None):
@@ -395,7 +385,7 @@ def energy_and_forces(config: AtomicConfiguration, state: ModelState, neighbors:
     e_atom = _forward_atom_energies(pos, idx, nl.edges, state.config, state.params, gate_override)
     total = ad.sum_exact(e_atom)
     (g,) = ad.grad(total, [pos], allow_unused=True, create_graph=False)
-    return float(total.value), e_atom.value, -g.value
+    return float(ad.value_of(total)), ad.value_of(e_atom), -g.value
 
 
 def forces(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None) -> np.ndarray:
@@ -411,10 +401,7 @@ def model_edge_gates(config: AtomicConfiguration, state: ModelState, neighbors: 
     """
     idx, nl = _prep(config, state, neighbors)
     trace: list[dict] = []
-    _forward_blocks(
-        ad.constant(config.positions), idx, nl.edges, state.config, state.params,
-        gate_trace=trace,
-    )
+    _forward_blocks(config.positions, idx, nl.edges, state.config, state.params, gate_trace=trace)
     if not len(nl.edges):
         trace = [
             {"alpha": np.zeros(0), "pooled_norm": np.zeros(0)}
@@ -449,8 +436,8 @@ def with_grid(state: ModelState, grid) -> ModelState:
 def node_features(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None) -> EquivariantFeatures:
     """Final per-atom feature blocks after all layers (numpy values)."""
     idx, nl = _prep(config, state, neighbors)
-    blocks = _forward_blocks(ad.constant(config.positions), idx, nl.edges, state.config, state.params)
-    return EquivariantFeatures({l: np.asarray(b.value) for l, b in blocks.items()})
+    blocks = _forward_blocks(config.positions, idx, nl.edges, state.config, state.params)
+    return EquivariantFeatures({l: np.asarray(b) for l, b in blocks.items()})
 
 
 @dataclass
@@ -462,7 +449,7 @@ class BatchGraph:
     yields forces for every structure at once.
     """
 
-    energies: ad.Node  # (n_structures,)
+    energies: object  # (n_structures,); plain when no edge exists and no parameter is a node
     positions: ad.Node  # leaf, (total_atoms, 3)
     n_atoms: np.ndarray  # (n_structures,)
     atom_graph: np.ndarray  # (total_atoms,) structure id per atom

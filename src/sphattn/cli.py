@@ -610,8 +610,7 @@ def cmd_attention_map(args) -> int:
     alpha_cols = [f"alpha_layer{t}" for t in range(layers)]
     pooled_cols = [f"pooled_layer{t}" for t in range(layers)]
 
-    def gate_row(cfg, recv, send):
-        edges, trace = bb.model_edge_gates(cfg, state)
+    def gate_row(edges, trace, recv, send):
         sel = np.nonzero((edges[:, 0] == recv) & (edges[:, 1] == send))[0]
         if len(sel):
             i = sel[0]
@@ -639,13 +638,7 @@ def cmd_attention_map(args) -> int:
             cfg = bb.AtomicConfiguration(species=system.species, positions=pos)
             edges, trace = bb.model_edge_gates(cfg, state)
             for j in neighbors:
-                sel = np.nonzero((edges[:, 0] == probe) & (edges[:, 1] == j))[0]
-                if len(sel):
-                    i = sel[0]
-                    alphas = [float(tr_["alpha"][i]) for tr_ in trace]
-                    pooled = [float(tr_["pooled_norm"][i]) for tr_ in trace]
-                else:
-                    alphas = pooled = [float("nan")] * layers
+                alphas, pooled = gate_row(edges, trace, probe, j)
                 dist = float(np.linalg.norm(pos[j] - pos[probe]))
                 rows.append((s, t, j, dist, *alphas, *pooled))
         config = {
@@ -674,7 +667,7 @@ def cmd_attention_map(args) -> int:
                 pos = system.positions.copy()
                 pos[probe] = pos[center] + radius * direction
                 cfg = bb.AtomicConfiguration(species=system.species, positions=pos)
-                alphas, pooled = gate_row(cfg, center, probe)
+                alphas, pooled = gate_row(*bb.model_edge_gates(cfg, state), center, probe)
                 rows.append((theta, phi, *pos[probe], *alphas, *pooled))
         config = {
             "mode": mode, "system": _opt(args, "system"), "model": source,

@@ -7,8 +7,9 @@ so the field is linear in r, vanishes at the direction pointing from i
 to j, and peaks at 2r opposite it. It is invariant under rigid motions
 applied to both atoms and the grid.
 
-All computations run on autodiff nodes so forces can flow through the
-field; passing plain arrays returns plain arrays.
+Every function is written in autodiff primitives: a node in gives a
+node out, so forces flow through the field, and plain arrays give plain
+arrays.
 """
 
 from __future__ import annotations
@@ -38,37 +39,29 @@ class EdgeSphericalField:
 
     distance: object
     values: object
-    edge: object = None
 
 
-def _wants_nodes(*xs) -> bool:
-    return any(isinstance(x, ad.Node) for x in xs)
-
-
-def grid_field(x_i, x_j, grid: SphericalGrid, edge=None) -> EdgeSphericalField:
+def grid_field(x_i, x_j, grid: SphericalGrid) -> EdgeSphericalField:
     """Distances from x_j to probe points x_i + r_ij g_k, one per grid point.
 
     Accepts leading batch axes on the atom positions. Raises
     DegenerateGeometryError if any separation is at or below 1e-8.
     """
-    taped = _wants_nodes(x_i, x_j)
-    xi, xj = ad.as_node(x_i), ad.as_node(x_j)
-    if xi.value.shape[-1] != 3 or xj.value.shape[-1] != 3:
+    xi_shape, xj_shape = np.shape(ad.value_of(x_i)), np.shape(ad.value_of(x_j))
+    if xi_shape[-1] != 3 or xj_shape[-1] != 3:
         raise ValueError("atom positions must have 3 components")
-    r = ad.norm(ad.sub(xj, xi), axis=-1)
-    if np.any(r.value <= DEGENERATE_SEPARATION):
+    r = ad.norm(ad.sub(x_j, x_i), axis=-1)
+    r_val = ad.value_of(r)
+    if np.any(r_val <= DEGENERATE_SEPARATION):
         raise DegenerateGeometryError(
-            f"edge separation {float(np.min(r.value)):.3e} below {DEGENERATE_SEPARATION}"
+            f"edge separation {float(np.min(r_val)):.3e} below {DEGENERATE_SEPARATION}"
         )
-    g = ad.constant(grid.points)  # (G, 3)
     probe = ad.add(
-        ad.reshape(xi, xi.value.shape[:-1] + (1, 3)),
-        ad.mul(ad.reshape(r, r.value.shape + (1, 1)), g),
+        ad.reshape(x_i, xi_shape[:-1] + (1, 3)),
+        ad.mul(ad.reshape(r, r_val.shape + (1, 1)), grid.points),  # points: (G, 3)
     )
-    values = ad.norm(ad.sub(ad.reshape(xj, xj.value.shape[:-1] + (1, 3)), probe), axis=-1)
-    if taped:
-        return EdgeSphericalField(r, values, edge)
-    return EdgeSphericalField(r.value, values.value, edge)
+    values = ad.norm(ad.sub(ad.reshape(x_j, xj_shape[:-1] + (1, 3)), probe), axis=-1)
+    return EdgeSphericalField(r, values)
 
 
 _RBF_RE = re.compile(r"^rbf\((\d+)\)$")
@@ -93,19 +86,15 @@ def field_features(field: EdgeSphericalField, mode: str = "scalar"):
     implemented on t, where centers and widths become constants.
     """
     d_f = parse_feature_mode(mode)
-    taped = _wants_nodes(field.values)
-    vals = ad.as_node(field.values)
-    dist = ad.as_node(field.distance)
-    t = ad.div(vals, ad.mul(ad.reshape(dist, dist.value.shape + (1,)), 2.0))
+    dist = field.distance
+    t = ad.div(field.values, ad.mul(ad.reshape(dist, np.shape(ad.value_of(dist)) + (1,)), 2.0))
+    tt = ad.reshape(t, np.shape(ad.value_of(t)) + (1,))
     if mode == "scalar":
-        out = ad.reshape(t, t.value.shape + (1,))
+        return tt
+    if d_f == 1:
+        centers, inv_two_sigma2 = np.array([0.5]), np.array([2.0])
     else:
-        if d_f == 1:
-            centers, inv_two_sigma2 = np.array([0.5]), np.array([2.0])
-        else:
-            centers = np.linspace(0.0, 1.0, d_f)
-            inv_two_sigma2 = np.full(d_f, (d_f - 1) ** 2 / 2.0)
-        tt = ad.reshape(t, t.value.shape + (1,))
-        z = ad.sub(tt, ad.constant(centers))
-        out = ad.exp(ad.neg(ad.mul(ad.mul(z, z), ad.constant(inv_two_sigma2))))
-    return out if taped else out.value
+        centers = np.linspace(0.0, 1.0, d_f)
+        inv_two_sigma2 = np.full(d_f, (d_f - 1) ** 2 / 2.0)
+    z = ad.sub(tt, centers)
+    return ad.exp(ad.neg(ad.mul(ad.mul(z, z), inv_two_sigma2)))

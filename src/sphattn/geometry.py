@@ -18,12 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalGrid:
     """Quadrature grid on the unit sphere: N = n_theta * n_phi points.
 
     ``points`` and ``weights`` are read-only copies, so one grid can be
-    shared by every caller (see ``build_equiangular_grid``).
+    shared by every caller (see ``build_equiangular_grid``). Grids
+    compare and hash by identity: the generated field-wise ``==`` would
+    ask numpy for the truth value of an array.
     """
 
     n_theta: int

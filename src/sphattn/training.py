@@ -527,7 +527,7 @@ def _predict(configs, state, neighbor_lists=None, params=None, want_grad=False):
     forces = ad.neg(g)
     if want_grad:
         return EnergyForces(batch.energies, forces, batch.n_atoms)
-    return EnergyForces(batch.energies.value, forces.value, batch.n_atoms)
+    return EnergyForces(ad.value_of(batch.energies), forces.value, batch.n_atoms)
 
 
 # structures per forward graph when predicting a whole split

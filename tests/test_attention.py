@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import central_diff, random_rotation, relative_close
 
 GRID = geometry.build_equiangular_grid(4, 8)
 G = GRID.n_points
+PARAM_NAMES = ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field", "pos", "gate_w", "gate_b")
 
 
 def make_params(rng, d=8, d_h=5, d_f=1, **kw):
@@ -90,8 +93,6 @@ def test_positional_encoding_flag_drops_p():
     h_i, h_j = rng.normal(size=5), rng.normal(size=5)
     af_on = attention.build_qkv(h_i, h_j, feats, p_on)
 
-    from dataclasses import replace
-
     p_off = replace(p_on, positional_encoding=False)
     p_off_perturbed = replace(p_off, pos=p_on.pos + 123.0)
     af_off = attention.build_qkv(h_i, h_j, feats, p_off)
@@ -101,11 +102,16 @@ def test_positional_encoding_flag_drops_p():
     assert np.array_equal(af_on.q, af_off.q + p_on.pos)
 
 
+def _gate(out, grid, p):
+    pooled = attention.pool_attention(out, grid)
+    return attention.gate_activation(attention.gate_preactivation(pooled, p), p.gate_activation)
+
+
 def test_zero_gate_starts_at_half():
     rng = np.random.default_rng(6)
     p = make_params(rng)
     out = rng.normal(size=(G, p.d))
-    assert attention.pool_and_gate(out, GRID, p) == 0.5
+    assert _gate(out, GRID, p) == 0.5
 
 
 def test_gate_activations():
@@ -132,9 +138,9 @@ def test_param_validation():
         make_params(rng, gate_activation="relu")
 
 
-class _Cloud:
-    def __init__(self, positions):
-        self.positions = positions
+def _edge_gates(pos, feats, grid, p, nl):
+    recv, send = nl.edges[:, 0], nl.edges[:, 1]
+    return attention.edge_gate(pos[recv], pos[send], feats[recv], feats[send], grid, p, "scalar")[0]
 
 
 def test_edge_gates_match_single_edge_composition():
@@ -143,23 +149,27 @@ def test_edge_gates_match_single_edge_composition():
     pos = rng.uniform(-1.5, 1.5, size=(4, 3))
     feats = rng.normal(size=(4, 6))
     nl = geometry.neighbor_list(pos, 5.0)
-    alphas = attention.edge_gates(_Cloud(pos), feats, GRID, p, neighbors=nl)
-    assert alphas.shape == (nl.n_edges,)
+    recv, send = nl.edges[:, 0], nl.edges[:, 1]
+    alphas, pooled = attention.edge_gate(pos[recv], pos[send], feats[recv], feats[send], GRID, p, "scalar")
+    assert alphas.shape == (nl.n_edges,) and pooled.shape == (nl.n_edges, p.d)
     for e, (i, j) in enumerate(nl.edges):
         f = field.grid_field(pos[i], pos[j], GRID)
         ff = field.field_features(f, "scalar")
         af = attention.build_qkv(feats[i], feats[j], ff, p)
         out = attention.spherical_attention(af, GRID, heads=p.heads)
-        alpha = attention.pool_and_gate(out, GRID, p)
-        assert abs(alphas[e] - alpha) < 1e-12
+        assert abs(alphas[e] - _gate(out, GRID, p)) < 1e-12
 
 
-def test_edge_gates_empty_neighborhood_raises():
+def test_edge_gate_of_an_empty_neighborhood_is_empty():
     rng = np.random.default_rng(9)
     p = make_params(rng)
     pos = np.array([[0.0, 0, 0], [10.0, 0, 0]])
-    with pytest.raises(ValueError):
-        attention.edge_gates(_Cloud(pos), rng.normal(size=(2, 5)), GRID, p, cutoff=1.0)
+    nl = geometry.neighbor_list(pos, 1.0)
+    assert nl.n_edges == 0
+    recv, send = nl.edges[:, 0], nl.edges[:, 1]
+    h = rng.normal(size=(2, 5))
+    alphas, pooled = attention.edge_gate(pos[recv], pos[send], h[recv], h[send], GRID, p, "scalar")
+    assert alphas.shape == (0,) and pooled.shape == (0, p.d)
 
 
 def test_symmetric_dimer_gates_are_equal():
@@ -168,7 +178,7 @@ def test_symmetric_dimer_gates_are_equal():
     p = make_params(rng, positional_encoding=False, random_gate=True)
     pos = np.array([[0.0, 0, 0], [1.3, 0.4, -0.2]])
     h = np.tile(rng.normal(size=5), (2, 1))
-    alphas = attention.edge_gates(_Cloud(pos), h, GRID, p, cutoff=5.0)
+    alphas = _edge_gates(pos, h, GRID, p, geometry.neighbor_list(pos, 5.0))
     assert abs(alphas[0] - alphas[1]) < 1e-12
 
 
@@ -177,15 +187,13 @@ def test_gradients_through_edge_gates_match_fd():
     pos = rng.uniform(-1.2, 1.2, size=(3, 3))
     feats0 = rng.normal(size=(3, 4))
     nl = geometry.neighbor_list(pos, 8.0)
-    names = ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field",
-             "pos", "gate_w", "gate_b")
+    names = PARAM_NAMES
     base = attention.init_mara_params(rng, 6, 4, 1, G, random_gate=True)
 
     def build(values):
         arrays = dict(zip(names, values))
         p = attention.MaraParams(**arrays, heads=base.heads)
-        alpha = attention.edge_gates(_Cloud(pos), ad.constant(feats0), GRID, p, neighbors=nl)
-        return ad.sum_(alpha)
+        return ad.sum_(_edge_gates(pos, feats0, GRID, p, nl))
 
     leaves = [ad.leaf(getattr(base, n)) for n in names]
     loss = build(leaves)
@@ -193,7 +201,7 @@ def test_gradients_through_edge_gates_match_fd():
     for name, lf, g in zip(names, leaves, grads):
         def f(v, name=name, lf=lf):
             vals = [v if n == name else getattr(base, n) for n in names]
-            return float(build([ad.constant(x) for x in vals]).value)
+            return float(build(vals))
 
         fd = central_diff(f, getattr(base, name), step=1e-5)
         assert relative_close(g.value, fd, 1e-5, floor=1e-10) >= 0.95, name
@@ -214,12 +222,33 @@ def test_gate_deviation_shrinks_with_grid_refinement():
             np.random.default_rng(99), 6, 4, 1, grid.n_points,
             positional_encoding=False, random_gate=True,
         )
-        base = attention.edge_gates(_Cloud(pos), feats, grid, p, neighbors=nl)
+        base = _edge_gates(pos, feats, grid, p, nl)
         devs = []
         for _ in range(50):
             r = random_rotation(rng)
-            moved = attention.edge_gates(_Cloud(pos @ r.T), feats, grid, p, neighbors=nl)
+            moved = _edge_gates(pos @ r.T, feats, grid, p, nl)
             devs.append(np.max(np.abs(moved - base)))
         medians.append(np.median(devs))
     assert medians[0] >= medians[1] >= medians[2]
     assert medians[2] < medians[0] or medians[0] == 0.0
+
+
+@pytest.mark.parametrize("name", PARAM_NAMES + (None,))
+def test_gate_pipeline_tapes_whenever_one_parameter_is_a_leaf(name):
+    # every input but one parameter is a plain array: the gate must still
+    # come back as a node that depends on that parameter; with no leaf at
+    # all it is a plain array
+    rng = np.random.default_rng(13)
+    base = make_params(rng, random_gate=True)
+    leaf = None if name is None else ad.leaf(getattr(base, name))
+    p = replace(base, **({} if name is None else {name: leaf}))
+    ff = rng.uniform(0, 1, size=(3, G, 1))
+    af = attention.build_qkv(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), ff, p)
+    out = attention.spherical_attention(af, GRID, heads=p.heads)
+    alpha = _gate(out, GRID, p)
+    if name is None:
+        assert type(alpha) is np.ndarray and alpha.shape == (3,)
+        return
+    assert isinstance(alpha, ad.Node)
+    (g,) = ad.grad(ad.sum_(alpha), [leaf])
+    assert np.any(g.value != 0.0)

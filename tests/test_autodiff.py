@@ -150,26 +150,6 @@ def test_double_precision_end_to_end():
     assert out.value.dtype == np.float64
 
 
-def test_tape_is_topologically_ordered():
-    x = ad.leaf(rng.normal(size=3))
-    y = ad.sum_(ad.exp(ad.mul(x, 2.0)))
-    tape = ad.Tape.from_output(y)
-    tape.validate()
-    ids = [e.node_id for e in tape.entries]
-    assert ids == sorted(ids)
-    # every node except the output feeds a later entry
-    consumed = {p for e in tape.entries for p in e.parent_ids}
-    assert {e.node_id for e in tape.entries} - {y.tid} <= consumed
-    assert tape.entries[-1].node_id == y.tid
-
-
-def test_tape_validate_rejects_forward_reference():
-    e1 = ad.TapeEntry("mul", 10, (11,), (3,))
-    e2 = ad.TapeEntry("leaf", 11, (), (3,))
-    with pytest.raises(ValueError):
-        ad.Tape([e1, e2]).validate()
-
-
 def test_second_order_force_style_gradient():
     # L(theta) = sum((dE/dx - f0)^2) with E = sum(sin(theta * x));
     # checks the reverse-over-reverse path used for force-matching losses.
@@ -240,6 +220,8 @@ def test_first_order_gradient_is_a_parentless_constant():
     # arguments return plain arrays
     assert type(ad.mul(np.ones(2), 2.0)) is np.ndarray
     assert type(ad.exp(np.zeros((2, 2)))) is np.ndarray
+    assert type(ad.mean(np.ones((2, 3)), axis=1)) is np.ndarray
+    assert not isinstance(ad.mean(np.ones(3)), ad.Node) and ad.mean(np.ones(3)) == 1.0
 
 
 def test_dropped_graph_is_freed_without_the_cycle_collector():

@@ -5,6 +5,7 @@ import pytest
 
 from sphattn import autodiff as ad
 from sphattn import backbone as bb
+from sphattn import training
 from sphattn.geometry import (
     RigidMotion,
     apply_rigid,
@@ -538,4 +539,11 @@ def test_first_order_forces_are_bitwise_the_taped_forces_in_a_batch():
     assert neighbor_list(isolated.positions, state.config["cutoff"]).n_edges == 0
     _, taped, plain = _both_modes(configs, state)
     assert np.array_equal(taped, plain)
+    # alone, the edgeless structure's energy never meets a node; it still
+    # gets zero forces, in both the single and the batched first-order path
+    e, _, f = bb.energy_and_forces(isolated, state)
+    assert e == bb.energy(isolated, state)[0]
+    assert np.array_equal(f, np.zeros((2, 3)))
+    pred = training.predict([isolated], state)
+    assert np.array_equal(pred.energies, [e]) and np.array_equal(pred.forces, f)
     assert np.all(taped[3:5] == 0.0)

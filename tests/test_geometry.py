@@ -238,3 +238,6 @@ def test_equiangular_grid_is_built_once_and_read_only():
     assert gr is not g and not gr.points.flags.writeable
     assert np.array_equal(gr.weights, g.weights)
     assert np.array_equal(g.points, geometry.build_equiangular_grid(4, 8).points)
+    # grids compare and hash by identity, never by their array fields
+    assert g == g and g != gr and not g == gr
+    assert len({g, gr, geometry.build_equiangular_grid(4, 8)}) == 2
