@@ -32,16 +32,51 @@ kinds of backward pass:
 Everything is double precision. One evaluation builds one implicit tape;
 tapes must not be shared across threads, but independent evaluations may
 run concurrently.
+
+A tape allocates and frees hundreds of megabytes per call on large
+structures. By default glibc hands large freed blocks back to the kernel,
+so the next call pays for every page to be zero-filled again. Importing
+this module therefore asks glibc's ``malloc`` to keep freed memory in the
+process: no trimming of the heap top, and no ``mmap`` for large blocks.
+``HEAP_RETAINED`` says whether that took effect; it is False where
+``mallopt`` does not exist or refuses (macOS, musl). The cost is that the
+process keeps its high-water mark after a call.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 
 import numpy as np
 
 _COUNTER = itertools.count()
+
+# glibc <malloc.h> parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_MAX = -4
+
+
+def _retain_freed_memory() -> bool:
+    """Keep freed heap memory for reuse instead of returning it to the kernel.
+
+    Both settings are needed: a trim threshold alone leaves blocks above
+    the mmap threshold to be unmapped on free, and disabling mmap alone
+    moves them onto a heap whose freed top is then trimmed. Returns
+    whether glibc accepted both.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a threshold of -1 is the largest size_t: the heap is never trimmed
+    return mallopt(_M_TRIM_THRESHOLD, -1) == 1 and mallopt(_M_MMAP_MAX, 0) == 1
+
+
+HEAP_RETAINED = _retain_freed_memory()
 
 
 class MissingDependencyError(ValueError):
@@ -120,11 +155,6 @@ def constant(value) -> Node:
 
 def as_node(x) -> Node:
     return x if isinstance(x, Node) else constant(x)
-
-
-def detach(x: Node) -> Node:
-    """Copy of x's value with no graph history."""
-    return constant(x.value)
 
 
 def value_of(x):

@@ -2,12 +2,14 @@
 
 Every subcommand that takes --out writes its artifacts there together
 with a manifest.json recording the command, the resolved configuration,
-the seed, and the artifact names. Rerunning with the same inputs
-reproduces every artifact byte for byte; the manifest's timestamps are
-the single exception. Option values resolve as flag > config file >
-built-in default; the config file is flat ``key = value`` text, and
-``REGISTRY`` below lists every key it may set with the parser of its
-value.
+the seed, the artifact names, and the environment: the numpy version,
+the five BLAS thread variables (null when unset) and whether freed
+memory is kept in the process (``autodiff.HEAP_RETAINED``). Rerunning
+with the same inputs reproduces every artifact byte for byte; the
+manifest's timestamps are the single exception. Option values resolve
+as flag > config file > built-in default; the config file is flat
+``key = value`` text, and ``REGISTRY`` below lists every key it may set
+with the parser of its value.
 
 --threads pins all BLAS thread-pool sizes before numpy is first
 imported, which is what makes --threads 1 bit-reproducible. That only
@@ -183,11 +185,18 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 
 def _write_manifest(out: Path, command: str, config: dict, seed, artifacts: list[str]) -> None:
+    import numpy as np
+
+    from . import autodiff as ad
+
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "artifacts": sorted(artifacts),
+        "numpy_version": np.__version__,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "heap_retained": ad.HEAP_RETAINED,
         "created_unix": time.time(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z",
     }

@@ -369,19 +369,17 @@ def loss(pred: EnergyForces, target: EnergyForces, lam_e: float = 1.0, lam_f: fl
         raise ValueError("loss weights must be nonnegative and not both zero")
     if not np.array_equal(np.asarray(target.n_atoms), np.asarray(pred.n_atoms)):
         raise ValueError("prediction and target disagree on structure sizes")
-    taped = isinstance(pred.energies, ad.Node) or isinstance(pred.forces, ad.Node)
-    pe, pf = ad.as_node(pred.energies), ad.as_node(pred.forces)
-    te, tf = ad.as_node(target.energies), ad.as_node(target.forces)
-    if pe.value.shape != te.value.shape or pf.value.shape != tf.value.shape:
+    pe, pf, te, tf = pred.energies, pred.forces, target.energies, target.forces
+    if any(np.shape(ad.value_of(p)) != np.shape(ad.value_of(t)) for p, t in ((pe, te), (pf, tf))):
         raise ValueError("prediction and target shapes disagree")
-    total = ad.constant(np.zeros(()))
+    total = np.zeros(())
     if lam_e:
-        de = ad.div(ad.sub(pe, te), ad.constant(np.asarray(pred.n_atoms, dtype=float)))
+        de = ad.div(ad.sub(pe, te), np.asarray(pred.n_atoms, dtype=float))
         total = ad.add(total, ad.mul(ad.mean(ad.mul(de, de)), lam_e))
     if lam_f:
         df = ad.sub(pf, tf)
         total = ad.add(total, ad.mul(ad.mean(ad.mul(df, df)), lam_f))
-    return total if taped else float(total.value)
+    return total if isinstance(total, ad.Node) else float(total)
 
 
 # -------------------------------------------------------------------- metrics

@@ -3,6 +3,8 @@ graph bookkeeping, and the double-backward path the trainer relies on."""
 
 from __future__ import annotations
 
+import resource
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,20 @@ def test_concat_sends_each_piece_its_own_slice():
         assert [g.shape for g in grads] == [(2, 1), (2, 3), (2, 2)]
         for g, lo, hi in zip(grads, (0, 1, 4), (1, 4, 6)):
             assert np.array_equal(g.value, weights[:, lo:hi])
+
+
+@pytest.mark.skipif(not ad.HEAP_RETAINED, reason="freed memory is kept only under glibc")
+def test_freed_memory_is_reused_without_page_faults():
+    # 64 MB is above glibc's largest dynamic mmap threshold (32 MB), so by
+    # default this array is unmapped on free and faulted in afresh on every
+    # allocation: 16,384 faults in 4 KB pages, and still at least 32 when
+    # numpy's huge-page advice lets the kernel use 2 MB pages. Eight
+    # rounds would then take at least 256.
+    a = np.ones(8 * 2**20)
+    del a
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(8):
+        a = np.ones(8 * 2**20)
+        del a
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 32

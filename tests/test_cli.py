@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from sphattn import autodiff as ad
 from sphattn import backbone as bb
 from sphattn import training as tr
-from sphattn.cli import main
+from sphattn.cli import THREAD_VARS, main
 
 
 def read_csv(path):
@@ -87,6 +88,9 @@ def test_grid_artifacts_and_rerun_identical(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "grid"
     assert sorted(manifest["artifacts"]) == sorted(names)
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["threads"] == {var: os.environ.get(var) for var in THREAD_VARS}
+    assert manifest["heap_retained"] is ad.HEAP_RETAINED
     first = (out / "grid.csv").read_bytes()
     log_first = (out / "log.jsonl").read_bytes()
     code, _, _ = run_cli(capsys, ["grid", "--ntheta", "3", "--nphi", "4", "--out", str(out)])
@@ -123,19 +127,18 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in err
 
 
-def test_threads_flag_pins_environment(capsys):
-    saved = {k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
-    try:
-        code, _, _ = run_cli(capsys, ["--threads", "2", "grid", "--ntheta", "1", "--nphi", "1"])
-        assert code == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+def test_threads_flag_pins_environment(tmp_path, capsys, monkeypatch):
+    # monkeypatch restores all five variables after main() has set them
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    out = tmp_path / "g"
+    code, _, _ = run_cli(capsys, ["--threads", "2", "grid", "--ntheta", "1", "--nphi", "1",
+                                  "--out", str(out)])
+    assert code == 0
+    assert os.environ["OMP_NUM_THREADS"] == "2"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threads"] == {var: "2" for var in THREAD_VARS}
 
 
 def test_module_entry_point_subprocess():

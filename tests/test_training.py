@@ -1,5 +1,6 @@
 """Training-stack tests: synthetic labels, parser, loss, metrics, optimizer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,23 @@ def test_loss_validation():
     b = _ef([1.0, 2.0], np.zeros((4, 3)), [2, 2])
     with pytest.raises(ValueError):
         tr.loss(a, b)
+
+
+@pytest.mark.parametrize("taped_field", ["energies", "forces"])
+def test_loss_is_a_float_on_arrays_and_a_node_on_nodes(taped_field):
+    rng = np.random.default_rng(11)
+    n = np.array([2, 4, 3])
+    pred = _ef(rng.normal(size=3), rng.normal(size=(9, 3)), n)
+    target = _ef(rng.normal(size=3), rng.normal(size=(9, 3)), n)
+    plain = tr.loss(pred, target, lam_e=1.3, lam_f=17.0)
+    assert type(plain) is float
+
+    x = ad.leaf(getattr(pred, taped_field))
+    taped = tr.loss(dataclasses.replace(pred, **{taped_field: x}), target, lam_e=1.3, lam_f=17.0)
+    assert isinstance(taped, ad.Node)
+    assert float(taped.value) == plain
+    (g,) = ad.grad(taped, [x])
+    assert np.any(g.value != 0.0)
 
 
 # --------------------------------------------------------------------- metrics
