@@ -28,6 +28,11 @@ FOUR_PI = 4.0 * np.pi
 
 GATE_ACTIVATIONS = ("logistic", "sinusoidal")
 
+# the learned arrays of one layer, in MaraParams field order; the backbone
+# stores each as "layer{t}.attn.<name>"
+PROJECTION_NAMES = ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field")
+PARAM_NAMES = PROJECTION_NAMES + ("pos", "gate_w", "gate_b")
+
 
 class NumericalOverflowError(FloatingPointError):
     """Raised when attention logits stop being finite."""
@@ -61,11 +66,11 @@ class MaraParams:
 
     def __post_init__(self):
         d = self.d
-        for name in ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field", "pos", "gate_w", "gate_b"):
+        for name in PARAM_NAMES:
             v = _val(getattr(self, name))
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite values in {name}")
-        if any(_val(getattr(self, n)).shape[0] != d for n in ("wk_node", "wv_node", "wq_field", "wk_field", "wv_field")):
+        if any(_val(getattr(self, n)).shape[0] != d for n in PROJECTION_NAMES):
             raise ValueError("projection output widths disagree")
         if _val(self.pos).shape[1] != d or _val(self.gate_w).shape != (d,):
             raise ValueError("positional embedding and gate width must match d")

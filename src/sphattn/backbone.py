@@ -23,6 +23,10 @@ from . import autodiff as ad
 from . import attention as attn_mod
 from . import field as field_mod
 from .geometry import NeighborList, build_equiangular_grid, neighbor_list
+# bound under a second name because perfbench/workloads.py wraps
+# backbone.taped_harmonics to time it under --trace 1; the rename waits
+# for the next change to the benchmark (ROADMAP item 4)
+from .geometry import real_spherical_harmonics as taped_harmonics
 
 DEFAULT_CONFIG: dict = {
     "cutoff": 5.0,
@@ -40,11 +44,6 @@ DEFAULT_CONFIG: dict = {
     "learnable": True,
     "gate_activation": "logistic",
 }
-
-MARA_NAMES = (
-    "wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field",
-    "pos", "gate_w", "gate_b",
-)
 
 
 @dataclass
@@ -158,7 +157,7 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
             gate_activation=config["gate_activation"],
             random_gate=random_gate,
         )
-        for name in MARA_NAMES:
+        for name in attn_mod.PARAM_NAMES:
             params[f"layer{t}.attn.{name}"] = np.asarray(getattr(mara, name), dtype=float)
     return ModelState(config, params)
 
@@ -170,7 +169,7 @@ def model_grid(state: ModelState):
 def mara_view(params: dict, layer: int, config: dict) -> attn_mod.MaraParams:
     """MaraParams view over a parameter table (arrays or autodiff nodes)."""
     return attn_mod.MaraParams(
-        **{n: params[f"layer{layer}.attn.{n}"] for n in MARA_NAMES},
+        **{n: params[f"layer{layer}.attn.{n}"] for n in attn_mod.PARAM_NAMES},
         heads=config["heads"],
         positional_encoding=config["positional_encoding"],
         gate_activation=config["gate_activation"],
@@ -213,54 +212,6 @@ def radial_basis(r, r_c: float, n: int, envelope_p: int | None = 6):
         b = ad.mul(b, u)
     inside = np.broadcast_to(ad.value_of(rr) < r_c, np.shape(ad.value_of(b)))
     return ad.where_mask(inside, b, np.zeros(()))
-
-
-_SH_C = {
-    0: 0.28209479177387814,
-    1: 0.4886025119029199,
-    "2a": 1.0925484305920792, "2b": 0.31539156525252005, "2c": 0.5462742152960396,
-    "3a": 0.5900435899266435, "3b": 2.890611442640554, "3c": 0.4570457994644658,
-    "3d": 0.3731763325901154, "3e": 1.445305721320277,
-}
-
-
-def taped_harmonics(l_max: int, rhat):
-    """Real spherical harmonics of unit vectors, differentiable through rhat.
-
-    Same Cartesian polynomials and ordering as
-    geometry.real_spherical_harmonics; rhat has shape (e, 3). A node in
-    gives a node out, a plain array a plain array.
-    """
-    if not 0 <= l_max <= 3:
-        raise ValueError("l_max must be in [0, 3]")
-    e = np.shape(ad.value_of(rhat))[0]
-    x = ad.take(rhat, (slice(None), 0))
-    y = ad.take(rhat, (slice(None), 1))
-    z = ad.take(rhat, (slice(None), 2))
-    cols = [np.full(e, _SH_C[0])]
-    if l_max >= 1:
-        cols += [ad.mul(y, _SH_C[1]), ad.mul(z, _SH_C[1]), ad.mul(x, _SH_C[1])]
-    if l_max >= 2:
-        x2, y2, z2 = ad.mul(x, x), ad.mul(y, y), ad.mul(z, z)
-        cols += [
-            ad.mul(ad.mul(x, y), _SH_C["2a"]),
-            ad.mul(ad.mul(y, z), _SH_C["2a"]),
-            ad.mul(ad.sub(ad.mul(z2, 2.0), ad.add(x2, y2)), _SH_C["2b"]),
-            ad.mul(ad.mul(x, z), _SH_C["2a"]),
-            ad.mul(ad.sub(x2, y2), _SH_C["2c"]),
-        ]
-    if l_max >= 3:
-        cols += [
-            ad.mul(ad.mul(y, ad.sub(ad.mul(x2, 3.0), y2)), _SH_C["3a"]),
-            ad.mul(ad.mul(ad.mul(x, y), z), _SH_C["3b"]),
-            ad.mul(ad.mul(y, ad.sub(ad.mul(z2, 4.0), ad.add(x2, y2))), _SH_C["3c"]),
-            ad.mul(ad.mul(z, ad.sub(ad.mul(z2, 2.0), ad.mul(ad.add(x2, y2), 3.0))), _SH_C["3d"]),
-            ad.mul(ad.mul(x, ad.sub(ad.mul(z2, 4.0), ad.add(x2, y2))), _SH_C["3c"]),
-            ad.mul(ad.mul(z, ad.sub(x2, y2)), _SH_C["3e"]),
-            ad.mul(ad.mul(x, ad.sub(x2, ad.mul(y2, 3.0))), _SH_C["3a"]),
-        ]
-    cols = [ad.reshape(cc, (e, 1)) for cc in cols]
-    return ad.concat(cols, axis=1)
 
 
 def _species_index(species: np.ndarray, vocab: list[int]) -> np.ndarray:
@@ -317,13 +268,9 @@ def _forward_blocks(
                 if gate_override is not None:
                     alpha = np.full(ne, float(gate_override))
                 else:
-                    mara = mara_view(
-                        {k: params[k] for k in params if k.startswith(f"layer{t}.attn.")},
-                        t, cfg,
-                    )
                     alpha, pooled = attn_mod.edge_gate(
                         xi, xj, ad.take(scalars, (recv,)), ad.take(scalars, (send,)),
-                        grid, mara, cfg["field_mode"],
+                        grid, mara_view(params, t, cfg), cfg["field_mode"],
                     )
             if gate_trace is not None:
                 gate_trace.append({

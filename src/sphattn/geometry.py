@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+
 
 @dataclass(frozen=True, eq=False)
 class SphericalGrid:
@@ -174,12 +176,14 @@ def sh_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def real_spherical_harmonics(l_max: int, direction) -> np.ndarray:
+def real_spherical_harmonics(l_max: int, direction):
     """Real orthonormal spherical harmonics up to l_max at unit directions.
 
     Cartesian polynomial form, safe at the poles. Supports leading batch
     axes; returns (..., (l_max+1)^2) ordered by (l, then m = -l..l). The
     l=1 triple is proportional to (y, z, x) with coefficient sqrt(3/4pi).
+    Written in autodiff primitives: a node in gives a node out that is
+    differentiable through the direction, a plain array a plain array.
 
     Args:
         l_max: highest order, 0 <= l_max <= 3.
@@ -187,40 +191,43 @@ def real_spherical_harmonics(l_max: int, direction) -> np.ndarray:
     """
     if not 0 <= l_max <= _L_MAX_SUPPORTED:
         raise ValueError(f"l_max must be in [0, {_L_MAX_SUPPORTED}]")
-    d = np.asarray(direction, dtype=float)
+    if not isinstance(direction, ad.Node):
+        direction = np.asarray(direction, dtype=float)
+    d = ad.value_of(direction)
     if d.shape[-1] != 3:
         raise ValueError("direction must have 3 components on the last axis")
     if np.max(np.abs(np.linalg.norm(d, axis=-1) - 1.0)) > 1e-9:
         raise ValueError("directions must be unit vectors")
-    x, y, z = d[..., 0], d[..., 1], d[..., 2]
-    one = np.ones_like(x)
+    batch = d.shape[:-1]
+    x, y, z = (ad.take(direction, (..., k)) for k in range(3))
 
-    cols = [0.28209479177387814 * one]
+    cols = [np.full(batch, 0.28209479177387814)]
     if l_max >= 1:
         c1 = 0.4886025119029199
-        cols += [c1 * y, c1 * z, c1 * x]
+        cols += [ad.mul(y, c1), ad.mul(z, c1), ad.mul(x, c1)]
     if l_max >= 2:
         c2a, c2b, c2c = 1.0925484305920792, 0.31539156525252005, 0.5462742152960396
+        x2, y2, z2 = ad.mul(x, x), ad.mul(y, y), ad.mul(z, z)
         cols += [
-            c2a * x * y,
-            c2a * y * z,
-            c2b * (2.0 * z * z - x * x - y * y),
-            c2a * x * z,
-            c2c * (x * x - y * y),
+            ad.mul(ad.mul(x, y), c2a),
+            ad.mul(ad.mul(y, z), c2a),
+            ad.mul(ad.sub(ad.mul(z2, 2.0), ad.add(x2, y2)), c2b),
+            ad.mul(ad.mul(x, z), c2a),
+            ad.mul(ad.sub(x2, y2), c2c),
         ]
     if l_max >= 3:
         c3 = (0.5900435899266435, 2.890611442640554, 0.4570457994644658,
               0.3731763325901154, 1.445305721320277)
         cols += [
-            c3[0] * y * (3.0 * x * x - y * y),
-            c3[1] * x * y * z,
-            c3[2] * y * (4.0 * z * z - x * x - y * y),
-            c3[3] * z * (2.0 * z * z - 3.0 * x * x - 3.0 * y * y),
-            c3[2] * x * (4.0 * z * z - x * x - y * y),
-            c3[4] * z * (x * x - y * y),
-            c3[0] * x * (x * x - 3.0 * y * y),
+            ad.mul(ad.mul(y, ad.sub(ad.mul(x2, 3.0), y2)), c3[0]),
+            ad.mul(ad.mul(ad.mul(x, y), z), c3[1]),
+            ad.mul(ad.mul(y, ad.sub(ad.mul(z2, 4.0), ad.add(x2, y2))), c3[2]),
+            ad.mul(ad.mul(z, ad.sub(ad.mul(z2, 2.0), ad.mul(ad.add(x2, y2), 3.0))), c3[3]),
+            ad.mul(ad.mul(x, ad.sub(ad.mul(z2, 4.0), ad.add(x2, y2))), c3[2]),
+            ad.mul(ad.mul(z, ad.sub(x2, y2)), c3[4]),
+            ad.mul(ad.mul(x, ad.sub(x2, ad.mul(y2, 3.0))), c3[0]),
         ]
-    return np.stack(cols, axis=-1)
+    return ad.concat([ad.reshape(c, batch + (1,)) for c in cols], axis=-1)
 
 
 @dataclass(frozen=True)

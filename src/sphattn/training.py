@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import attention as attn
 from . import autodiff as ad
 from . import backbone as bb
 from .geometry import neighbor_list
@@ -440,25 +441,50 @@ def save_checkpoint(state: bb.ModelState, path: str, metadata: dict | None = Non
         fh.write(checkpoint_text(state, metadata))
 
 
+def _check_keys(kind: str, found, expected) -> None:
+    """Raise a ValueError naming the first key that only one side has."""
+    odd = sorted(set(found) ^ set(expected))
+    if odd:
+        raise ValueError(f"checkpoint {kind} {odd[0]!r} is {'unknown' if odd[0] in found else 'missing'}")
+
+
 def load_checkpoint(path: str):
-    """ModelState plus stored metadata; parameter values are bit-exact."""
+    """ModelState plus stored metadata; parameter values are bit-exact.
+
+    The checkpoint is checked against a freshly built model of its own
+    config: an unknown or missing config key, a missing or extra
+    parameter, a wrong shape or a non-finite value raises a ValueError
+    that names the key.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')!r}")
     config = dict(doc["config"])
-    if "grid" in config:
-        config["grid"] = tuple(config["grid"])
-    params = {
-        k: np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
-        for k, spec in doc["params"].items()
-    }
+    _check_keys("config key", config, [*bb.DEFAULT_CONFIG, "species", "seed"])
+    config["grid"] = tuple(config["grid"])
+    skeleton = bb.new_model(
+        config["species"], seed=config["seed"], **{k: config[k] for k in bb.DEFAULT_CONFIG}
+    ).params
+    _check_keys("parameter", doc["params"], skeleton)
+    params = {}
+    for key, spec in doc["params"].items():
+        value = np.asarray(spec["data"], dtype=float)
+        shape = skeleton[key].shape
+        if tuple(spec["shape"]) != shape or value.size != skeleton[key].size:
+            raise ValueError(f"checkpoint parameter {key!r} has shape {spec['shape']}, expected {list(shape)}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"non-finite values in checkpoint parameter {key!r}")
+        params[key] = value.reshape(shape)
     return bb.ModelState(config, params), doc.get("metadata", {})
 
 
 # -------------------------------------------------------------------- training
 
-PROJECTION_NAMES = ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field")
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -471,13 +497,6 @@ class TrainConfig:
     lam_f: float = 100.0
     seed: int = 0
     val_every: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    # tri-state ablation flags: None inherits the model's own setting
-    positional_encoding: bool | None = None
-    learnable: bool | None = None
-    gating: bool | None = None
 
     def __post_init__(self):
         if self.lam_e < 0 or self.lam_f < 0 or (self.lam_e == 0 and self.lam_f == 0):
@@ -595,17 +614,12 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
         raise ValueError("train and valid splits must both be nonempty")
 
     state = model.copy()
-    for flag in ("positional_encoding", "gating", "learnable"):
-        v = getattr(cfg, flag)
-        if v is not None:
-            state.config[flag] = bool(v)
-
-    frozen = set()
-    if not state.config.get("learnable", True):
-        for name in state.params:
-            if any(name.endswith("." + p) for p in PROJECTION_NAMES):
-                frozen.add(name)
-    trainable = [k for k in sorted(state.params) if k not in frozen]
+    # learnable=False freezes every layer's six attention projections
+    learnable = state.config.get("learnable", True)
+    trainable = [
+        k for k in sorted(state.params)
+        if learnable or k.rsplit(".", 1)[-1] not in attn.PROJECTION_NAMES
+    ]
 
     rng = np.random.default_rng(cfg.seed)
     train_nl = [neighbor_list(c.positions, state.config["cutoff"]) for c in train_set]
@@ -652,11 +666,11 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
         t_adam += 1
         lr = _lr_at(cfg, step)
         for k, g in zip(trainable, grads):
-            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g.value
-            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g.value * g.value
-            mhat = m[k] / (1 - cfg.beta1**t_adam)
-            vhat = v[k] / (1 - cfg.beta2**t_adam)
-            state.params[k] = state.params[k] - lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g.value
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g.value * g.value
+            mhat = m[k] / (1 - ADAM_BETA1**t_adam)
+            vhat = v[k] / (1 - ADAM_BETA2**t_adam)
+            state.params[k] = state.params[k] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
         if step % cfg.val_every == 0 or step == cfg.steps:
             history.append({"step": step, "split": "train", "metric": "loss", "value": train_loss})

@@ -114,15 +114,33 @@ def test_radial_basis_gradient_matches_fd():
 
 # ------------------------------------------------------------------ harmonics
 
-def test_taped_harmonics_match_reference():
+def test_harmonics_satisfy_addition_theorem():
+    # sum_m Y_lm(u) Y_lm(v) = (2l+1)/(4 pi) P_l(u.v), an oracle that
+    # shares no code with the harmonics themselves
     rng = np.random.default_rng(9)
-    v = rng.normal(size=(40, 3))
+    u, v = rng.normal(size=(2, 40, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    taped = bb.taped_harmonics(3, ad.constant(v)).value
-    ref = real_spherical_harmonics(3, v)
-    assert np.allclose(taped, ref, rtol=0, atol=1e-15)
+    yu, yv = real_spherical_harmonics(3, u), real_spherical_harmonics(3, v)
+    t = np.sum(u * v, axis=1)
+    legendre = [np.ones_like(t), t, (3 * t**2 - 1) / 2, (5 * t**3 - 3 * t) / 2]
+    for l in range(4):
+        lhs = np.sum(yu[:, l * l:(l + 1) ** 2] * yv[:, l * l:(l + 1) ** 2], axis=1)
+        assert np.allclose(lhs, (2 * l + 1) / (4 * np.pi) * legendre[l], rtol=0, atol=1e-14), l
     with pytest.raises(ValueError):
-        bb.taped_harmonics(4, ad.constant(v))
+        real_spherical_harmonics(4, u)
+
+
+def test_harmonics_nodes_and_arrays_agree_bitwise():
+    rng = np.random.default_rng(10)
+    v = rng.normal(size=(2, 5, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    plain = real_spherical_harmonics(3, v)
+    taped = real_spherical_harmonics(3, ad.leaf(v))
+    assert type(plain) is np.ndarray and isinstance(taped, ad.Node)
+    assert plain.shape == (2, 5, 16)
+    assert np.array_equal(taped.value, plain)
+    assert bb.taped_harmonics is real_spherical_harmonics
 
 
 def test_taped_harmonics_gradient_through_normalization():

@@ -424,6 +424,52 @@ def test_eval_metrics_match_direct_computation(morse_checkpoint, tmp_path, capsy
         assert got[target] == pytest.approx(expect, rel=1e-9), target
 
 
+def _drop_readout(doc):
+    del doc["params"]["readout"]
+
+
+def _add_param(doc):
+    doc["params"]["bogus"] = {"shape": [1], "data": [0.0]}
+
+
+def _reshape_radial(doc):
+    spec = doc["params"]["layer0.radial"]
+    spec["shape"], spec["data"] = [1, len(spec["data"]) - 1], spec["data"][1:]
+
+
+def _nan_embed(doc):
+    doc["params"]["embed"]["data"][0] = math.nan
+
+
+def _unknown_config(doc):
+    doc["config"]["colour"] = "red"
+
+
+def _drop_config_key(doc):
+    del doc["config"]["gating"]
+
+
+@pytest.mark.parametrize("command", ["md", "eval"])
+@pytest.mark.parametrize("fault, key", [
+    (_drop_readout, "readout"),
+    (_add_param, "bogus"),
+    (_reshape_radial, "layer0.radial"),
+    (_nan_embed, "embed"),
+    (_unknown_config, "colour"),
+    (_drop_config_key, "gating"),
+], ids=["missing-param", "extra-param", "wrong-shape", "non-finite", "unknown-config-key", "missing-config-key"])
+def test_bad_checkpoint_exits_two_naming_the_key(morse_checkpoint, tmp_path, capsys, command, fault, key):
+    doc = json.loads(morse_checkpoint.read_text())
+    fault(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    args = {"md": ["--system", "synth:morse", "--steps", "1"],
+            "eval": ["--data", "synth:morse", "--data-size", "60", "--split", "test"]}[command]
+    code, _, err = run_cli(capsys, [command, "--checkpoint", str(bad), *args])
+    assert code == 2
+    assert repr(key) in err
+
+
 def test_eval_requires_model(capsys):
     code, _, err = run_cli(capsys, ["eval", "--data", "synth:morse"])
     assert code == 2
