@@ -6,10 +6,15 @@ the seed, the artifact names, and the environment: the numpy version,
 the five BLAS thread variables (null when unset) and whether freed
 memory is kept in the process (``autodiff.HEAP_RETAINED``). Rerunning
 with the same inputs reproduces every artifact byte for byte; the
-manifest's timestamps are the single exception. Option values resolve
-as flag > config file > built-in default; the config file is flat
-``key = value`` text, and ``REGISTRY`` below lists every key it may set
-with the parser of its value.
+manifest's timestamps are the single exception. Commands that run a
+model also record its config (and, for --random-model, --random-gate).
+
+Each option is declared once, on its argparse flag, with its type,
+choices and default. Values resolve as flag > config file > default:
+the config file is flat ``key = value`` text whose keys are the
+subcommand's own option dests (``l_max``, ``path_from``); any other key
+is an error. ``parse_args`` turns the file into the subcommand parser's
+defaults and lets a second parse apply the precedence.
 
 --threads pins all BLAS thread-pool sizes before numpy is first
 imported, which is what makes --threads 1 bit-reproducible. That only
@@ -53,34 +58,7 @@ def _bool_word(s: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise CommandError(f"not a boolean: {s!r}")
-
-
-# config-file key registry: every key a flat file may set, with its parser
-REGISTRY = {
-    "ntheta": int, "nphi": int,
-    "seed": int, "out": str,
-    "checkpoint": str, "system": str, "data": str, "split": str,
-    "rotations": int, "grids": str, "translation_only": _bool_word,
-    "steps": int, "batch_size": int, "lr": float, "lr_schedule": str,
-    "lam_e": float, "lam_f": float, "val_every": int,
-    "data_size": int, "data_noise": float, "data_seed": int,
-    "cutoff": float, "l_max": int, "layers": int, "channels": int,
-    "n_bessel": int, "grid": str, "d": int, "heads": int,
-    "gate_activation": str, "field_mode": str,
-    "gating": _bool_word, "positional_encoding": _bool_word, "learnable": _bool_word,
-    "random_gate": _bool_word,
-    "dt": float, "friction": float, "temp": float,
-    "sample_every": int, "rdf_bins": int, "rdf_rmax": float,
-    "mode": str, "atom": int, "center": int, "probe": int,
-    "path_from": str, "path_to": str, "radius": float,
-    "sweep_grid": str, "model_grid": str,
-}
-
-MODEL_KEYS = (
-    "cutoff", "l_max", "layers", "channels", "n_bessel", "d", "heads",
-    "gate_activation", "field_mode", "gating", "positional_encoding", "learnable",
-)
+    raise argparse.ArgumentTypeError(f"not a boolean: {s!r}")
 
 
 def _set_threads(n: int) -> None:
@@ -88,83 +66,41 @@ def _set_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CommandError(f"cannot read config file: {exc}")
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CommandError(f"{path}:{i}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in REGISTRY:
-            raise CommandError(f"{path}:{i}: unknown config key {key!r}")
-        values[key] = val.strip()
-    return values
-
-
-def _opt(args, key: str, default=None, required: bool = False):
-    """One option value under flag > config file > default precedence."""
-    val = getattr(args, key, None)
+def _required(args, key: str):
+    val = getattr(args, key)
     if val is None:
-        stored = getattr(args, "_file_values", {})
-        if key in stored:
-            try:
-                val = REGISTRY[key](stored[key])
-            except ValueError as exc:
-                raise CommandError(f"config key {key}: {exc}")
-    if val is None:
-        val = default
-    if val is None and required:
         raise CommandError(f"missing required option --{key.replace('_', '-')}")
     return val
 
 
-def _as_grid(value) -> tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    parts = str(value).lower().split("x")
-    if len(parts) != 2:
-        raise CommandError(f"grid must look like 8x16, got {value!r}")
+def _as_grid(value: str) -> tuple[int, int]:
     try:
-        return int(parts[0]), int(parts[1])
+        ntheta, nphi = (int(part) for part in value.lower().split("x"))
     except ValueError:
-        raise CommandError(f"grid must look like 8x16, got {value!r}")
+        raise argparse.ArgumentTypeError(f"grid must look like 8x16, got {value!r}")
+    return ntheta, nphi
 
 
 def _parse_grids(spec: str) -> list[tuple[int, int]]:
-    return [_as_grid(part) for part in str(spec).split(",") if part.strip()]
+    return [_as_grid(part) for part in spec.split(",") if part.strip()]
 
 
 def _vec3(spec: str) -> tuple[float, float, float]:
-    parts = str(spec).split(",")
-    if len(parts) != 3:
-        raise CommandError(f"expected x,y,z coordinates, got {spec!r}")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        x, y, z = (float(p) for p in spec.split(","))
     except ValueError:
-        raise CommandError(f"expected x,y,z coordinates, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected x,y,z coordinates, got {spec!r}")
+    return x, y, z
 
 
 # ----------------------------------------------------------------- artifacts
 
 def _out_dir(args) -> Path | None:
-    out = _opt(args, "out")
-    if out is None:
+    if args.out is None:
         return None
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(header, rows))
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -175,47 +111,37 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def _emit(out: Path | None, command: str, config: dict, seed, tables: dict[str, tuple],
+          records: list[dict], extra_artifacts: tuple = (), model: dict | None = None) -> None:
+    """Write tables, the log, and the manifest, or dump tables to stdout.
 
-
-def _write_manifest(out: Path, command: str, config: dict, seed, artifacts: list[str]) -> None:
+    model holds the manifest fields from _model_fields, for commands that
+    run a model.
+    """
     import numpy as np
 
     from . import autodiff as ad
 
+    if out is None:
+        for header, rows in tables.values():
+            sys.stdout.write(_csv_text(header, rows))
+        return
+    for name, (header, rows) in tables.items():
+        (out / name).write_text(_csv_text(header, rows), newline="")
+    (out / "log.jsonl").write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted([*extra_artifacts, *tables, "log.jsonl", "manifest.json"]),
         "numpy_version": np.__version__,
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "heap_retained": ad.HEAP_RETAINED,
         "created_unix": time.time(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z",
+        **(model or {}),
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _emit(out: Path | None, command: str, config: dict, seed, tables: dict[str, tuple],
-          records: list[dict], extra_artifacts: tuple = ()) -> None:
-    """Write tables, the log, and the manifest, or dump tables to stdout."""
-    if out is None:
-        for name, (header, rows) in tables.items():
-            sys.stdout.write(_csv_text(header, rows))
-        return
-    artifacts = list(extra_artifacts)
-    for name, (header, rows) in tables.items():
-        _write_csv(out / name, header, rows)
-        artifacts.append(name)
-    _write_jsonl(out / "log.jsonl", records)
-    artifacts.append("log.jsonl")
-    _write_manifest(out, command, config, seed, artifacts + ["manifest.json"])
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------ shared loaders
@@ -267,31 +193,25 @@ def _load_system(spec: str, seed: int):
 def _load_dataset(args, spec: str):
     from . import training as tr
 
-    size = _opt(args, "data_size", 2000)
-    noise = _opt(args, "data_noise", 1.0)
-    dseed = _opt(args, "data_seed", 0)
     if spec.startswith("synth:"):
-        return tr.synth_dataset(spec[len("synth:"):], n=size, seed=dseed, noise_t=noise)
+        return tr.synth_dataset(spec[len("synth:"):], n=args.data_size, seed=args.data_seed,
+                                noise_t=args.data_noise)
     try:
         text = Path(spec).read_text()
     except OSError as exc:
         raise CommandError(f"cannot read data file: {exc}")
     ds = tr.parse_extxyz(text)
     if not ds.splits:
-        ds = tr.split_dataset(ds, seed=dseed)
+        ds = tr.split_dataset(ds, seed=args.data_seed)
     return ds
 
 
 def _model_overrides(args, grid_key: str = "grid") -> dict:
-    overrides = {}
-    for key in MODEL_KEYS:
-        val = _opt(args, key)
-        if val is not None:
-            overrides[key] = val
-    grid = _opt(args, grid_key)
-    if grid is not None:
-        overrides["grid"] = _as_grid(grid)
-    return overrides
+    """The model options set by flag or file; unset ones keep the model's default."""
+    from . import backbone as bb
+
+    values = {**vars(args), "grid": getattr(args, grid_key)}
+    return {key: values[key] for key in bb.DEFAULT_CONFIG if values.get(key) is not None}
 
 
 def _load_model(args, species, grid_key: str = "grid"):
@@ -299,15 +219,15 @@ def _load_model(args, species, grid_key: str = "grid"):
     from . import backbone as bb
     from . import training as tr
 
-    ckpt = _opt(args, "checkpoint")
+    ckpt = args.checkpoint
     if getattr(args, "random_model", False):
         if ckpt:
             raise CommandError("--checkpoint and --random-model are mutually exclusive")
         overrides = _model_overrides(args, grid_key)
         state = bb.new_model(
             species,
-            seed=_opt(args, "seed", 0),
-            random_gate=bool(_opt(args, "random_gate", False)),
+            seed=args.seed,
+            random_gate=args.random_gate,
             **overrides,
         )
         return state, "random-model"
@@ -320,6 +240,14 @@ def _load_model(args, species, grid_key: str = "grid"):
     return state, ckpt
 
 
+def _model_fields(state, args) -> dict:
+    """Manifest fields naming the model a run used (json writes tuples as lists)."""
+    fields = {"model_config": state.config}
+    if getattr(args, "random_model", False):
+        fields["random_gate"] = args.random_gate
+    return fields
+
+
 # ------------------------------------------------------------------ commands
 
 def cmd_grid(args) -> int:
@@ -327,8 +255,8 @@ def cmd_grid(args) -> int:
 
     from . import geometry as geo
 
-    ntheta = _opt(args, "ntheta", required=True)
-    nphi = _opt(args, "nphi", required=True)
+    ntheta = _required(args, "ntheta")
+    nphi = _required(args, "nphi")
     grid = geo.build_equiangular_grid(ntheta, nphi)
 
     z = np.clip(grid.points[:, 2], -1.0, 1.0)
@@ -370,16 +298,15 @@ def cmd_check_equivariance(args) -> int:
     from . import backbone as bb
     from . import geometry as geo
 
-    seed = _opt(args, "seed", 0)
-    rotations = _opt(args, "rotations", 50)
+    seed = args.seed
+    rotations = args.rotations
     if rotations < 1:
         raise CommandError("need at least one rigid motion")
-    translation_only = bool(_opt(args, "translation_only", False))
-    system = _load_system(_opt(args, "system", "cloud:5"), seed)
+    translation_only = args.translation_only
+    system = _load_system(args.system, seed)
     state, source = _load_model(args, system.species.tolist())
     native = tuple(state.config["grid"])
-    grids_opt = _opt(args, "grids")
-    grids = _parse_grids(grids_opt) if grids_opt else [native]
+    grids = args.grids or [native]
 
     rng = np.random.default_rng(seed + 1)
     motions = [
@@ -450,12 +377,12 @@ def cmd_check_equivariance(args) -> int:
               f"{'ok' if grid_ok else 'VIOLATION'}", file=sys.stderr)
 
     config = {
-        "system": _opt(args, "system", "cloud:5"), "model": source,
+        "system": args.system, "model": source,
         "rotations": rotations, "translation_only": translation_only,
         "grids": [f"{a}x{b}" for a, b in grids],
     }
     _emit(_out_dir(args), "check-equivariance", config, seed,
-          {"equivariance.csv": (header, rows)}, records)
+          {"equivariance.csv": (header, rows)}, records, model=_model_fields(state, args))
     return 1 if violation else 0
 
 
@@ -466,8 +393,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     if out is None:
         raise CommandError("train needs --out for the checkpoint")
-    data_spec = _opt(args, "data", required=True)
-    seed = _opt(args, "seed", 0)
+    data_spec = _required(args, "data")
+    seed = args.seed
     ds = _load_dataset(args, data_spec)
     if "train" not in ds.splits or "valid" not in ds.splits:
         raise CommandError("dataset needs train and valid splits")
@@ -477,14 +404,9 @@ def cmd_train(args) -> int:
     tr.init_reference_energies(state, ds.split("train"))
 
     tcfg = tr.TrainConfig(
-        steps=_opt(args, "steps", 2000),
-        batch_size=_opt(args, "batch_size", 16),
-        lr=_opt(args, "lr", 0.01),
-        lr_schedule=_opt(args, "lr_schedule", "constant"),
-        lam_e=_opt(args, "lam_e", 1.0),
-        lam_f=_opt(args, "lam_f", 100.0),
-        seed=seed,
-        val_every=_opt(args, "val_every", 100),
+        steps=args.steps, batch_size=args.batch_size, lr=args.lr,
+        lr_schedule=args.lr_schedule, lam_e=args.lam_e, lam_f=args.lam_f,
+        seed=seed, val_every=args.val_every,
     )
     result = tr.train(ds, state, tcfg)
     final = tr.evaluate(ds.split("valid"), result.state)
@@ -527,41 +449,30 @@ def cmd_md(args) -> int:
     from . import md as md_mod
     from . import training as tr
 
-    seed = _opt(args, "seed", 0)
-    steps = _opt(args, "steps", 10_000)
-    dt = _opt(args, "dt", 1.0)
-    friction = _opt(args, "friction", 0.1)
-    temp = _opt(args, "temp", 500.0)
-    sample_every = _opt(args, "sample_every", 1)
-    rdf_bins = _opt(args, "rdf_bins", 50)
-    rdf_rmax = _opt(args, "rdf_rmax", 5.0)
-
-    system = _load_system(_opt(args, "system", required=True), seed)
+    system = _load_system(_required(args, "system"), args.seed)
     state, source = _load_model(args, system.species.tolist())
     provider = md_mod.model_force_provider(state, system.species)
+    model = _model_fields(state, args)
 
     config = {
-        "system": _opt(args, "system"), "model": source, "steps": steps,
-        "dt": dt, "friction": friction, "temp": temp,
-        "sample_every": sample_every, "rdf_bins": rdf_bins, "rdf_rmax": rdf_rmax,
+        "system": args.system, "model": source, "steps": args.steps,
+        "dt": args.dt, "friction": args.friction, "temp": args.temp,
+        "sample_every": args.sample_every, "rdf_bins": args.rdf_bins, "rdf_rmax": args.rdf_rmax,
     }
     out = _out_dir(args)
     try:
         traj = md_mod.run(
-            system, provider, steps=steps, dt=dt, friction=friction,
-            temperature=temp, seed=seed, sample_every=sample_every,
+            system, provider, steps=args.steps, dt=args.dt, friction=args.friction,
+            temperature=args.temp, seed=args.seed, sample_every=args.sample_every,
         )
     except md_mod.SimulationAbortError as exc:
         frame = exc.frame or {}
         print(f"md ABORTED: {exc}", file=sys.stderr)
-        if out is not None:
-            record = {
-                "event": "abort", "message": str(exc),
-                "step": frame.get("step"), "time": frame.get("time"),
-                "bad_atoms": frame.get("bad_atoms"),
-            }
-            _write_jsonl(out / "log.jsonl", [record])
-            _write_manifest(out, "md", config, seed, ["log.jsonl", "manifest.json"])
+        _emit(out, "md", config, args.seed, {}, [{
+            "event": "abort", "message": str(exc),
+            "step": frame.get("step"), "time": frame.get("time"),
+            "bad_atoms": frame.get("bad_atoms"),
+        }], model=model)
         return 1
 
     stats_header = ["step", "temperature", "mean_force", "q95_force", "max_force"]
@@ -572,10 +483,10 @@ def cmd_md(args) -> int:
     avg_t = float(np.mean([r["temperature"] for r in traj.force_stats])) if traj.force_stats else None
 
     tables = {"stats.csv": (stats_header, stats_rows)}
-    records: list[dict] = [{"event": "md", "steps": steps, "avg_temperature": avg_t}]
+    records: list[dict] = [{"event": "md", "steps": args.steps, "avg_temperature": avg_t}]
     peak = None
     if system.n_atoms >= 2:
-        rdf = md_mod.rdf(traj, r_max=rdf_rmax, bins=rdf_bins)
+        rdf = md_mod.rdf(traj, r_max=args.rdf_rmax, bins=args.rdf_bins)
         peak = float(rdf.centers[int(np.argmax(rdf.g))])
         tables["rdf.csv"] = (
             ["r", "g", "count"],
@@ -592,11 +503,11 @@ def cmd_md(args) -> int:
             for i in range(traj.n_frames)
         ]
         (out / "trajectory.extxyz").write_text(tr.write_extxyz(tr.Dataset(samples=frames)))
-        _emit(out, "md", config, seed, tables, records,
-              extra_artifacts=("trajectory.extxyz",))
+        _emit(out, "md", config, args.seed, tables, records,
+              extra_artifacts=("trajectory.extxyz",), model=model)
     t_txt = "n/a" if avg_t is None else f"{avg_t:.1f} K"
     peak_txt = "n/a" if peak is None else f"{peak:.3f} A"
-    print(f"md done: {steps} steps of {dt} fs, <T> = {t_txt}, rdf peak at {peak_txt}",
+    print(f"md done: {args.steps} steps of {args.dt} fs, <T> = {t_txt}, rdf peak at {peak_txt}",
           file=sys.stderr)
     return 0
 
@@ -606,9 +517,9 @@ def cmd_attention_map(args) -> int:
 
     from . import backbone as bb
 
-    seed = _opt(args, "seed", 0)
-    mode = _opt(args, "mode", required=True)
-    system = _load_system(_opt(args, "system", required=True), seed)
+    seed = args.seed
+    mode = _required(args, "mode")
+    system = _load_system(_required(args, "system"), seed)
     state, source = _load_model(args, system.species.tolist(), grid_key="model_grid")
     layers = state.config["layers"]
     n = system.n_atoms
@@ -627,12 +538,12 @@ def cmd_attention_map(args) -> int:
 
     rows = []
     if mode == "radial":
-        probe = _opt(args, "atom", required=True)
+        probe = _required(args, "atom")
         if not 0 <= probe < n:
             raise CommandError(f"--atom must index an atom (0..{n - 1})")
-        p0 = np.array(_vec3(_opt(args, "path_from", required=True)))
-        p1 = np.array(_vec3(_opt(args, "path_to", required=True)))
-        steps = _opt(args, "steps", 100)
+        p0 = np.array(_required(args, "path_from"))
+        p1 = np.array(_required(args, "path_to"))
+        steps = args.steps
         if steps < 1:
             raise CommandError("need at least one sweep step")
         neighbors = [j for j in range(n) if j != probe]
@@ -648,18 +559,18 @@ def cmd_attention_map(args) -> int:
                 dist = float(np.linalg.norm(pos[j] - pos[probe]))
                 rows.append((s, t, j, dist, *alphas, *pooled))
         config = {
-            "mode": mode, "system": _opt(args, "system"), "model": source,
+            "mode": mode, "system": args.system, "model": source,
             "atom": probe, "from": list(p0), "to": list(p1), "steps": steps,
         }
-    elif mode == "angular":
-        center = _opt(args, "center", required=True)
-        probe = _opt(args, "probe", required=True)
+    else:  # angular
+        center = _required(args, "center")
+        probe = _required(args, "probe")
         if not (0 <= center < n and 0 <= probe < n) or center == probe:
             raise CommandError("--center and --probe must index distinct atoms")
-        radius = _opt(args, "radius", 1.0)
+        radius = args.radius
         if radius <= 0:
             raise CommandError("--radius must be positive")
-        m_theta, n_phi = _as_grid(_opt(args, "sweep_grid", required=True))
+        m_theta, n_phi = _required(args, "sweep_grid")
         header = ["theta", "phi", "x", "y", "z"] + alpha_cols + pooled_cols
         for i in range(m_theta):
             theta = (i + 0.5) * (np.pi / 2.0) / m_theta  # upper hemisphere
@@ -676,16 +587,15 @@ def cmd_attention_map(args) -> int:
                 alphas, pooled = gate_row(*bb.model_edge_gates(cfg, state), center, probe)
                 rows.append((theta, phi, *pos[probe], *alphas, *pooled))
         config = {
-            "mode": mode, "system": _opt(args, "system"), "model": source,
+            "mode": mode, "system": args.system, "model": source,
             "center": center, "probe": probe, "radius": radius,
             "sweep_grid": f"{m_theta}x{n_phi}",
         }
-    else:
-        raise CommandError(f"--mode must be radial or angular, got {mode!r}")
 
     _emit(_out_dir(args), "attention-map", config, seed,
           {"map.csv": (header, rows)},
-          [{"event": "attention-map", "rows": len(rows), **config}])
+          [{"event": "attention-map", "rows": len(rows), **config}],
+          model=_model_fields(state, args))
     print(f"attention-map {mode}: {len(rows)} rows", file=sys.stderr)
     return 0
 
@@ -695,9 +605,9 @@ def cmd_eval(args) -> int:
 
     from . import training as tr
 
-    seed = _opt(args, "seed", 0)
-    data_spec = _opt(args, "data", required=True)
-    split = _opt(args, "split", "test")
+    seed = args.seed
+    data_spec = _required(args, "data")
+    split = args.split
     state, source = _load_model(args, [])
     ds = _load_dataset(args, data_spec)
     if split == "all":
@@ -734,42 +644,64 @@ def cmd_eval(args) -> int:
 
     config = {"data": data_spec, "split": split, "model": source,
               "n_samples": len(samples)}
-    _emit(_out_dir(args), "eval", config, seed, {"metrics.csv": (header, rows)}, records)
+    _emit(_out_dir(args), "eval", config, seed, {"metrics.csv": (header, rows)}, records,
+          model=_model_fields(state, args))
     return 0
 
 
 # -------------------------------------------------------------------- parser
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """--help shows each option's default, except an unset (None) one."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", help="output directory (artifacts + manifest)")
 
 
+def _add_data_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", help="file | synth:morse | synth:trimer (required)")
+    p.add_argument("--data-size", dest="data_size", type=int, default=2000,
+                   help="synth: structures to draw")
+    p.add_argument("--data-noise", dest="data_noise", type=float, default=1.0,
+                   help="synth: geometry spread scale")
+    p.add_argument("--data-seed", dest="data_seed", type=int, default=0,
+                   help="synth: sampling seed; file: split seed")
+
+
 def _add_model_args(p: argparse.ArgumentParser, grid_flag: str = "--grid") -> None:
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--l-max", dest="l_max", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--n-bessel", dest="n_bessel", type=int)
-    p.add_argument(grid_flag, dest=grid_flag.lstrip("-").replace("-", "_"),
+    g = p.add_argument_group("model", "options of a new model; unset ones keep the model's default")
+    g.add_argument("--cutoff", type=float)
+    g.add_argument("--l-max", dest="l_max", type=int)
+    g.add_argument("--layers", type=int)
+    g.add_argument("--channels", type=int)
+    g.add_argument("--n-bessel", dest="n_bessel", type=int)
+    g.add_argument(grid_flag, dest=grid_flag.lstrip("-").replace("-", "_"), type=_as_grid,
                    help="attention grid, e.g. 4x8")
-    p.add_argument("--d", type=int, help="attention width")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--gate-activation", dest="gate_activation",
+    g.add_argument("--d", type=int, help="attention width")
+    g.add_argument("--heads", type=int)
+    g.add_argument("--gate-activation", dest="gate_activation",
                    choices=("logistic", "sinusoidal"))
-    p.add_argument("--field-mode", dest="field_mode")
-    p.add_argument("--no-gating", dest="gating", action="store_const", const=False)
-    p.add_argument("--no-positional-encoding", dest="positional_encoding",
+    g.add_argument("--field-mode", dest="field_mode")
+    g.add_argument("--no-gating", dest="gating", action="store_const", const=False)
+    g.add_argument("--no-positional-encoding", dest="positional_encoding",
                    action="store_const", const=False)
-    p.add_argument("--freeze-projections", dest="learnable",
+    g.add_argument("--freeze-projections", dest="learnable",
                    action="store_const", const=False)
 
 
 def _add_model_source(p: argparse.ArgumentParser, grid_flag: str = "--grid") -> None:
     p.add_argument("--checkpoint")
-    p.add_argument("--random-model", dest="random_model", action="store_true")
-    p.add_argument("--random-gate", dest="random_gate", action="store_const", const=True,
+    p.add_argument("--random-model", dest="random_model", action="store_true",
+                   help="a fresh seeded model instead of --checkpoint")
+    p.add_argument("--random-gate", dest="random_gate", action="store_true",
                    help="draw nonzero gate weights for --random-model")
     _add_model_args(p, grid_flag)
 
@@ -783,96 +715,142 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pin BLAS pools to N threads (1 = bit-reproducible)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("grid", help="dump a quadrature grid and self-test it")
-    p.add_argument("--ntheta", type=int)
-    p.add_argument("--nphi", type=int)
-    _add_common(p)
-    p.set_defaults(handler=cmd_grid)
+    def command(name: str, help: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("check-equivariance",
-                       help="deviation of energy/forces/gates under rigid motions")
-    p.add_argument("--system", help="file | synth:morse | synth:trimer | cloud:N")
-    p.add_argument("--rotations", type=int)
-    p.add_argument("--grids", help="comma-separated grid list, e.g. 4x8,8x16,16x32")
-    p.add_argument("--translation-only", dest="translation_only",
-                   action="store_const", const=True)
+    p = command("grid", "dump a quadrature grid and self-test it", cmd_grid)
+    p.add_argument("--ntheta", type=int, help="polar rings (required)")
+    p.add_argument("--nphi", type=int, help="points per ring (required)")
+    _add_common(p)
+
+    p = command("check-equivariance", "deviation of energy/forces/gates under rigid motions",
+                cmd_check_equivariance)
+    p.add_argument("--system", default="cloud:5",
+                   help="file | synth:morse | synth:trimer | cloud:N")
+    p.add_argument("--rotations", type=int, default=50, help="random rigid motions")
+    p.add_argument("--grids", type=_parse_grids, help="comma-separated grid list, "
+                   "e.g. 4x8,8x16,16x32 (default: the model's grid)")
+    p.add_argument("--translation-only", dest="translation_only", action="store_true",
+                   help="translate the system without rotating it")
     _add_model_source(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_check_equivariance)
 
-    p = sub.add_parser("train", help="fit a model and write a checkpoint")
-    p.add_argument("--data", help="file | synth:morse | synth:trimer")
-    p.add_argument("--data-size", dest="data_size", type=int)
-    p.add_argument("--data-noise", dest="data_noise", type=float)
-    p.add_argument("--data-seed", dest="data_seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-schedule", dest="lr_schedule", choices=("constant", "linear"))
-    p.add_argument("--lam-e", dest="lam_e", type=float)
-    p.add_argument("--lam-f", dest="lam_f", type=float)
-    p.add_argument("--val-every", dest="val_every", type=int)
+    p = command("train", "fit a model and write a checkpoint", cmd_train)
+    _add_data_args(p)
+    p.add_argument("--steps", type=int, default=2000, help="optimizer steps")
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=16)
+    p.add_argument("--lr", type=float, default=0.01, help="learning rate")
+    p.add_argument("--lr-schedule", dest="lr_schedule", choices=("constant", "linear"),
+                   default="constant", help="linear decays to a tenth")
+    p.add_argument("--lam-e", dest="lam_e", type=float, default=1.0, help="energy loss weight")
+    p.add_argument("--lam-f", dest="lam_f", type=float, default=100.0, help="force loss weight")
+    p.add_argument("--val-every", dest="val_every", type=int, default=100,
+                   help="steps between validations")
     _add_model_args(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("md", help="Langevin dynamics with a model force provider")
-    p.add_argument("--system", help="file | synth:morse | synth:trimer | cloud:N")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--friction", type=float)
-    p.add_argument("--temp", type=float)
-    p.add_argument("--sample-every", dest="sample_every", type=int)
-    p.add_argument("--rdf-bins", dest="rdf_bins", type=int)
-    p.add_argument("--rdf-rmax", dest="rdf_rmax", type=float)
+    p = command("md", "Langevin dynamics with a model force provider", cmd_md)
+    p.add_argument("--system", help="file | synth:morse | synth:trimer | cloud:N (required)")
+    p.add_argument("--steps", type=int, default=10_000, help="integrator steps")
+    p.add_argument("--dt", type=float, default=1.0, help="time step, fs")
+    p.add_argument("--friction", type=float, default=0.1, help="Langevin friction, 1/fs")
+    p.add_argument("--temp", type=float, default=500.0, help="bath temperature, K")
+    p.add_argument("--sample-every", dest="sample_every", type=int, default=1,
+                   help="steps between stored frames")
+    p.add_argument("--rdf-bins", dest="rdf_bins", type=int, default=50, help="RDF histogram bins")
+    p.add_argument("--rdf-rmax", dest="rdf_rmax", type=float, default=5.0, help="RDF range, A")
     _add_model_source(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_md)
 
-    p = sub.add_parser("attention-map",
-                       help="gate values along a line sweep or a hemisphere sweep")
-    p.add_argument("--mode", choices=("radial", "angular"))
-    p.add_argument("--system", help="file | synth:morse | synth:trimer | cloud:N")
+    p = command("attention-map", "gate values along a line sweep or a hemisphere sweep",
+                cmd_attention_map)
+    p.add_argument("--mode", choices=("radial", "angular"), help="(required)")
+    p.add_argument("--system", help="file | synth:morse | synth:trimer | cloud:N (required)")
     p.add_argument("--atom", type=int, help="radial mode: probe atom index")
-    p.add_argument("--from", dest="path_from", help="radial mode: start x,y,z")
-    p.add_argument("--to", dest="path_to", help="radial mode: end x,y,z")
-    p.add_argument("--steps", type=int, help="radial mode: sweep steps")
+    p.add_argument("--from", dest="path_from", type=_vec3, help="radial mode: start x,y,z")
+    p.add_argument("--to", dest="path_to", type=_vec3, help="radial mode: end x,y,z")
+    p.add_argument("--steps", type=int, default=100, help="radial mode: sweep steps")
     p.add_argument("--center", type=int, help="angular mode: anchor atom index")
     p.add_argument("--probe", type=int, help="angular mode: swept atom index")
-    p.add_argument("--radius", type=float, help="angular mode: sweep radius")
-    p.add_argument("--grid", dest="sweep_grid",
+    p.add_argument("--radius", type=float, default=1.0, help="angular mode: sweep radius")
+    p.add_argument("--grid", dest="sweep_grid", type=_as_grid,
                    help="angular mode: sweep resolution MxN")
     _add_model_source(p, grid_flag="--model-grid")
     _add_common(p)
-    p.set_defaults(handler=cmd_attention_map)
 
-    p = sub.add_parser("eval", help="tail-sensitive error metrics on a dataset split")
-    p.add_argument("--data", help="file | synth:morse | synth:trimer")
-    p.add_argument("--data-size", dest="data_size", type=int)
-    p.add_argument("--data-noise", dest="data_noise", type=float)
-    p.add_argument("--data-seed", dest="data_seed", type=int)
-    p.add_argument("--split", choices=("train", "valid", "test", "all"))
+    p = command("eval", "tail-sensitive error metrics on a dataset split", cmd_eval)
+    _add_data_args(p)
+    p.add_argument("--split", choices=("train", "valid", "test", "all"), default="test",
+                   help="dataset split to score")
     p.add_argument("--checkpoint")
     _add_common(p)
-    p.set_defaults(handler=cmd_eval)
 
     return parser
 
 
-def main(argv=None) -> int:
+def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _read_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The file's values, each converted and checked as its own flag's would be.
+
+    A key is the dest of one of the subcommand's own options, --config aside.
+    """
+    actions = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CommandError(f"cannot read config file: {exc}")
+    values = {}
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CommandError(f"{path}:{i}: expected key = value")
+        key, _, val = (part.strip() for part in line.partition("="))
+        action = actions.get(key)
+        if action is None:
+            raise CommandError(f"{path}:{i}: unknown config key {key!r} for {sub.prog}")
+        convert = _bool_word if action.nargs == 0 else action.type or str
+        try:
+            value = convert(val)
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+            raise CommandError(f"{path}:{i}: config key {key}: {exc}")
+        if action.choices is not None and value not in action.choices:
+            raise CommandError(f"{path}:{i}: config key {key}: {value!r} is not one of "
+                               f"{', '.join(action.choices)}")
+        values[key] = value
+    return values
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Options resolved as flag > config file > default.
+
+    The config file's values become the subcommand parser's defaults, so
+    a second parse lets any flag on the command line override them.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        _set_threads(args.threads)
+    if args.config is not None:
+        sub = _subcommand_parsers(parser)[args.subcommand]
+        sub.set_defaults(**_read_config_file(args.config, sub))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args._file_values = (
-            _read_config_file(args.config) if getattr(args, "config", None) else {}
-        )
+        args = parse_args(argv)
+        if args.threads is not None:
+            _set_threads(args.threads)
         return args.handler(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CommandError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -196,7 +196,7 @@ def real_spherical_harmonics(l_max: int, direction):
     d = ad.value_of(direction)
     if d.shape[-1] != 3:
         raise ValueError("direction must have 3 components on the last axis")
-    if np.max(np.abs(np.linalg.norm(d, axis=-1) - 1.0)) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > 1e-9):
         raise ValueError("directions must be unit vectors")
     batch = d.shape[:-1]
     x, y, z = (ad.take(direction, (..., k)) for k in range(3))

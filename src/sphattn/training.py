@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -218,9 +217,6 @@ def _random_orthonormal_pair(rng):
 
 
 # ----------------------------------------------------------- extended XYZ I/O
-
-_PROPERTIES_RE = re.compile(r"^Properties=(\S+)$")
-
 
 def _tokenize_comment(line: str, lineno: int) -> list[str]:
     """Split on whitespace, keeping double-quoted values inside one token."""
@@ -606,12 +602,20 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
     Deterministic for a fixed seed and single-threaded numerics. Records
     one {step, split, metric, value} entry per logged quantity; validates
     every cfg.val_every steps and keeps the last finite-loss parameters,
-    which are restored if the loss ever goes non-finite.
+    which are restored if the loss ever goes non-finite. A train or valid
+    frame without an energy or force label is a ValueError naming its
+    split and dataset index, raised before the first step.
     """
     train_set = dataset.split("train") if "train" in dataset.splits else []
     valid_set = dataset.split("valid") if "valid" in dataset.splits else []
     if not train_set or not valid_set:
         raise ValueError("train and valid splits must both be nonempty")
+    for name in ("train", "valid"):
+        for i in dataset.splits[name]:
+            c = dataset.samples[i]
+            if c.energy is None or c.forces is None:
+                missing = "energy" if c.energy is None else "force"
+                raise ValueError(f"{name} split: frame {i} has no {missing} label")
 
     state = model.copy()
     # learnable=False freezes every layer's six attention projections

@@ -143,6 +143,14 @@ def test_harmonics_nodes_and_arrays_agree_bitwise():
     assert bb.taped_harmonics is real_spherical_harmonics
 
 
+def test_harmonics_of_no_directions_are_empty():
+    for l_max in range(4):
+        empty = np.zeros((0, 3))
+        assert real_spherical_harmonics(l_max, empty).shape == (0, (l_max + 1) ** 2)
+        taped = real_spherical_harmonics(l_max, ad.leaf(empty))
+        assert ad.value_of(taped).shape == (0, (l_max + 1) ** 2)
+
+
 def test_taped_harmonics_gradient_through_normalization():
     rng = np.random.default_rng(13)
     x0 = rng.normal(size=(3, 3)) * 2.0

@@ -12,8 +12,10 @@ import pytest
 
 from sphattn import autodiff as ad
 from sphattn import backbone as bb
+from sphattn import cli
+from sphattn import md
 from sphattn import training as tr
-from sphattn.cli import THREAD_VARS, main
+from sphattn.cli import THREAD_VARS, main, parse_args
 
 
 def read_csv(path):
@@ -127,6 +129,67 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_keys_are_each_subcommands_own_flag_dests(tmp_path):
+    parser = cli.build_parser()
+    commands = cli._subcommand_parsers(parser)
+    dests = {name: {a.dest for a in sub._actions if a.option_strings} for name, sub in commands.items()}
+    candidates = set().union(*dests.values()) | {a.dest for a in parser._actions} | {"handler"}
+    cfg = tmp_path / "probe.cfg"
+    for name, own in dests.items():
+        accepted = set()
+        for key in sorted(candidates):
+            cfg.write_text(f"{key} = x\n")
+            try:
+                parse_args([name, "--config", str(cfg)])
+            except cli.CommandError as exc:
+                if "unknown config key" in str(exc):
+                    continue
+            accepted.add(key)
+        assert accepted == own - {"help", "config"}, name
+
+
+def test_config_key_of_another_subcommand_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("ntheta = 4\nnphi = 8\nsteps = 5\n")
+    code, out, err = run_cli(capsys, ["grid", "--config", str(cfg)])
+    assert code == 2
+    assert "'steps'" in err
+    assert out == ""
+
+
+def test_flag_beats_file_beats_default_for_each_kind_of_option(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("steps = 7\nlr = 0.5\ndata = synth:trimer\ngrid = 2x4\n"
+                   "gating = true\nlr_schedule = linear\n")
+    keys = ("steps", "lr", "data", "grid", "gating", "lr_schedule")
+    default = parse_args(["train"])
+    from_file = parse_args(["train", "--config", str(cfg)])
+    from_flag = parse_args([
+        "train", "--config", str(cfg), "--steps", "9", "--lr", "0.25", "--data", "synth:morse",
+        "--grid", "3x6", "--no-gating", "--lr-schedule", "constant",
+    ])
+    assert [getattr(default, k) for k in keys] == [2000, 0.01, None, None, None, "constant"]
+    assert [getattr(from_file, k) for k in keys] == [7, 0.5, "synth:trimer", (2, 4), True, "linear"]
+    assert [getattr(from_flag, k) for k in keys] == [9, 0.25, "synth:morse", (3, 6), False, "constant"]
+    assert type(from_file.steps) is int and type(from_file.lr) is float
+
+
+@pytest.mark.parametrize("command, line", [
+    (["grid"], "ntheta = four"),
+    (["train", "--data", "synth:morse"], "lr_schedule = cosine"),
+    (["md", "--system", "synth:morse"], "random_gate = maybe"),
+    (["attention-map"], "path_from = 1,2"),
+    (["check-equivariance"], "grids = 4x8,4by8"),
+])
+def test_config_file_bad_value_exits_two_naming_the_key(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, [*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config key {line.split()[0]}:" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_threads_flag_pins_environment(tmp_path, capsys, monkeypatch):
     # monkeypatch restores all five variables after main() has set them
     for var in THREAD_VARS:
@@ -220,6 +283,21 @@ def test_train_malformed_data_file_reports_line(tmp_path, capsys):
     assert "line" in err
 
 
+def test_train_on_frames_without_forces_names_the_frame(tmp_path, capsys):
+    frames = "".join(
+        f"2\nenergy={-1.0 - 0.01 * k} Properties=species:S:1:pos:R:3\n"
+        f"C 0.0 0.0 0.0\nC {1.4 + 0.02 * k} 0.0 0.0\n"
+        for k in range(10)
+    )
+    data = tmp_path / "no-forces.extxyz"
+    data.write_text(frames)
+    code, _, err = run_cli(capsys, [
+        "train", "--data", str(data), "--steps", "1", "--out", str(tmp_path / "o"), *TINY_MODEL,
+    ])
+    assert code == 2
+    assert "train split: frame" in err and "no force label" in err
+
+
 def test_train_requires_out(capsys):
     code, _, err = run_cli(capsys, ["train", "--data", "synth:morse", "--steps", "1"])
     assert code == 2
@@ -264,6 +342,49 @@ def test_md_zero_steps_emits_initial_frame(morse_checkpoint, tmp_path, capsys):
     assert len(frames.samples) == 1
     expect = np.array([[0.0, 0.0, 0.0], [tr.MORSE_R0, 0.0, 0.0]])
     assert np.allclose(frames.samples[0].positions, expect)
+
+
+def test_md_manifest_records_the_model_it_ran(tmp_path, capsys):
+    argv = ["md", "--random-model", "--random-gate", "--system", "synth:trimer",
+            "--steps", "5", "--seed", "4", *TINY_MODEL]
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text("grid = 8x16\n")
+    runs = {"a": [], "rerun": [], "fine": ["--config", str(cfg)]}
+    for name, extra in runs.items():
+        assert run_cli(capsys, argv + extra + ["--out", str(tmp_path / name)])[0] == 0
+    manifests = {name: json.loads((tmp_path / name / "manifest.json").read_text()) for name in runs}
+
+    a, fine = manifests["a"], manifests["fine"]
+    assert a["config"] == fine["config"]
+    assert a["model_config"]["grid"] == [4, 8] and fine["model_config"]["grid"] == [8, 16]
+    assert a["random_gate"] is True
+    assert a["model_config"]["channels"] == 8 and a["model_config"]["seed"] == 4
+    assert (tmp_path / "a" / "trajectory.extxyz").read_bytes() != (tmp_path / "fine" / "trajectory.extxyz").read_bytes()
+    for name in a["artifacts"]:
+        if name != "manifest.json":
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "rerun" / name).read_bytes(), name
+    assert {k: v for k, v in manifests["rerun"].items() if not k.startswith("created")} == {
+        k: v for k, v in a.items() if not k.startswith("created")
+    }
+
+
+def test_md_abort_writes_log_and_manifest(tmp_path, capsys, monkeypatch):
+    def abort(*args, **kwargs):
+        raise md.SimulationAbortError("non-finite forces", {"step": 3, "time": 3.0, "bad_atoms": [1]})
+
+    monkeypatch.setattr(md, "run", abort)
+    out = tmp_path / "ab"
+    code, _, err = run_cli(capsys, ["md", "--system", "synth:trimer", "--random-model",
+                                    "--steps", "5", "--out", str(out)])
+    assert code == 1
+    assert "md ABORTED" in err
+    assert {p.name for p in out.iterdir()} == {"log.jsonl", "manifest.json"}
+    assert json.loads((out / "log.jsonl").read_text()) == {
+        "event": "abort", "message": "non-finite forces", "step": 3, "time": 3.0, "bad_atoms": [1],
+    }
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["log.jsonl", "manifest.json"]
+    assert manifest["random_gate"] is False
 
 
 # ----------------------------------------------------------- attention-map cmd
@@ -406,6 +527,9 @@ def test_eval_metrics_match_direct_computation(morse_checkpoint, tmp_path, capsy
         "--data-size", "60", "--split", "test", "--out", str(out),
     ])
     assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["model_config"] == json.loads(morse_checkpoint.read_text())["config"]
+    assert "random_gate" not in manifest
     header, rows = read_csv(out / "metrics.csv")
     assert header == ["target", "mae", "q95", "q99", "max"]
     got = {r[0]: [float(x) for x in r[1:]] for r in rows}

@@ -443,6 +443,16 @@ def test_train_requires_both_splits():
         tr.train(bare, tiny_model(ds), tr.TrainConfig(steps=1))
 
 
+@pytest.mark.parametrize("split, label", [("train", "energy"), ("valid", "forces")])
+def test_train_names_an_unlabeled_frame_before_any_step(split, label):
+    ds = tr.synth_dataset("morse", 20, seed=7)
+    frame = int(ds.splits[split][1])
+    ds.samples[frame] = dataclasses.replace(ds.samples[frame], **{label: None})
+    missing = "energy" if label == "energy" else "force"
+    with pytest.raises(ValueError, match=f"^{split} split: frame {frame} has no {missing} label$"):
+        tr.train(ds, tiny_model(ds), tr.TrainConfig(steps=1))
+
+
 def test_linear_schedule_decays_to_a_tenth():
     cfg = tr.TrainConfig(steps=100, lr=0.5, lr_schedule="linear")
     assert tr._lr_at(cfg, 0) == pytest.approx(0.5)
