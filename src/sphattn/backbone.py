@@ -129,6 +129,10 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
     config["species"] = species_vocab(species)
     config["grid"] = tuple(config["grid"])
     config["seed"] = int(seed)
+    if config["heads"] < 1 or config["d"] % config["heads"]:
+        raise ValueError("heads must divide the attention width d")
+    if config["gate_activation"] not in attn_mod.GATE_ACTIVATIONS:
+        raise ValueError(f"gate_activation must be one of {attn_mod.GATE_ACTIVATIONS}")
 
     rng = np.random.default_rng(seed)
     ns = len(config["species"])
@@ -150,30 +154,13 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
         params[f"layer{t}.radial"] = rng.uniform(-br, br, size=(n_orders * c, nb))
         for j in range(n_orders):
             params[f"layer{t}.mix{j}"] = rng.uniform(-bc, bc, size=(c, c))
-        mara = attn_mod.init_mara_params(
-            rng, config["d"], c, d_f, grid.n_points,
-            heads=config["heads"],
-            positional_encoding=config["positional_encoding"],
-            gate_activation=config["gate_activation"],
-            random_gate=random_gate,
-        )
-        for name in attn_mod.PARAM_NAMES:
-            params[f"layer{t}.attn.{name}"] = np.asarray(getattr(mara, name), dtype=float)
+        attn = attn_mod.init_params(rng, config["d"], c, d_f, grid.n_points, random_gate=random_gate)
+        params.update((f"layer{t}.attn.{n}", attn[n]) for n in attn_mod.PARAM_NAMES)
     return ModelState(config, params)
 
 
 def model_grid(state: ModelState):
     return build_equiangular_grid(*state.config["grid"])
-
-
-def mara_view(params: dict, layer: int, config: dict) -> attn_mod.MaraParams:
-    """MaraParams view over a parameter table (arrays or autodiff nodes)."""
-    return attn_mod.MaraParams(
-        **{n: params[f"layer{layer}.attn.{n}"] for n in attn_mod.PARAM_NAMES},
-        heads=config["heads"],
-        positional_encoding=config["positional_encoding"],
-        gate_activation=config["gate_activation"],
-    )
 
 
 def param_nodes(state: ModelState) -> dict[str, ad.Node]:
@@ -231,19 +218,29 @@ def _forward_blocks(
     params: dict,
     gate_override: float | None = None,
     gate_trace: list | None = None,
+    l_out: int = 0,
 ) -> dict:
-    """Feature blocks after all layers.
+    """Feature blocks l = 0..l_out after all layers.
 
-    Nodes when the positions or any parameter used are nodes, plain
-    arrays otherwise.
+    Each layer reads only the previous layer's scalars, so the blocks
+    above l_out are never built. Nodes when the positions or any
+    parameter used are nodes, plain arrays otherwise. Raises a ValueError
+    naming the first non-finite parameter, and DegenerateGeometryError
+    naming the atoms of an edge shorter than field.DEGENERATE_SEPARATION.
     """
+    # one isfinite over the whole table: per-array numpy calls cost about
+    # four times as much, a visible share of a small molecule's call
+    values = [ad.value_of(v) for v in params.values()]
+    if not np.isfinite(np.concatenate([np.ravel(v) for v in values])).all():
+        key = next(k for k, v in zip(params, values) if not np.isfinite(v).all())
+        raise ValueError(f"non-finite values in parameter {key!r}")
     n = len(species_idx)
     lmax = cfg["l_max"]
     c = cfg["channels"]
     grid = build_equiangular_grid(*cfg["grid"])
 
     h = {0: ad.reshape(ad.take(params["embed"], (species_idx,)), (n, 1, c))}
-    for l in range(1, lmax + 1):
+    for l in range(1, l_out + 1):
         h[l] = np.zeros((n, 2 * l + 1, c))
 
     if len(edges):
@@ -253,8 +250,15 @@ def _forward_blocks(
         xj = ad.take(positions, (send,))
         rvec = ad.sub(xj, xi)
         r = ad.norm(rvec, axis=-1)  # (E,)
+        r_val = ad.value_of(r)
+        if np.any(r_val <= field_mod.DEGENERATE_SEPARATION):
+            e = int(np.argmin(r_val))
+            raise field_mod.DegenerateGeometryError(
+                f"atoms {edges[e, 0]} and {edges[e, 1]} coincide: separation {r_val[e]:.3e} "
+                f"at or below {field_mod.DEGENERATE_SEPARATION}"
+            )
         rhat = ad.div(rvec, ad.reshape(r, (ne, 1)))
-        ylm = taped_harmonics(lmax, rhat)  # (E, (lmax+1)^2)
+        ylm = taped_harmonics(l_out, rhat)  # (E, (l_out+1)^2)
         basis = radial_basis(r, cfg["cutoff"], cfg["n_bessel"], cfg["envelope_p"])
 
         for t in range(cfg["layers"]):
@@ -269,8 +273,8 @@ def _forward_blocks(
                     alpha = np.full(ne, float(gate_override))
                 else:
                     alpha, pooled = attn_mod.edge_gate(
-                        xi, xj, ad.take(scalars, (recv,)), ad.take(scalars, (send,)),
-                        grid, mara_view(params, t, cfg), cfg["field_mode"],
+                        xi, xj, ad.take(scalars, (recv,)), ad.take(scalars, (send,)), grid,
+                        {name: params[f"layer{t}.attn.{name}"] for name in attn_mod.PARAM_NAMES}, cfg,
                     )
             if gate_trace is not None:
                 gate_trace.append({
@@ -279,7 +283,7 @@ def _forward_blocks(
                 })
 
             new_h = {}
-            for j in range(lmax + 1):
+            for j in range(l_out + 1):
                 yj = ad.reshape(ad.take(ylm, (slice(None), slice(j * j, (j + 1) * (j + 1)))), (ne, 2 * j + 1, 1))
                 msg = ad.mul(ad.mul(ad.take(radial, (slice(None), slice(j, j + 1))), s_j), yj)
                 if alpha is not None:
@@ -383,7 +387,8 @@ def with_grid(state: ModelState, grid) -> ModelState:
 def node_features(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None) -> EquivariantFeatures:
     """Final per-atom feature blocks after all layers (numpy values)."""
     idx, nl = _prep(config, state, neighbors)
-    blocks = _forward_blocks(config.positions, idx, nl.edges, state.config, state.params)
+    blocks = _forward_blocks(config.positions, idx, nl.edges, state.config, state.params,
+                             l_out=state.config["l_max"])
     return EquivariantFeatures({l: np.asarray(b) for l, b in blocks.items()})
 
 

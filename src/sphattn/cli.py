@@ -66,10 +66,10 @@ def _set_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
-def _required(args, key: str):
+def _required(args, key: str, flag: str | None = None):
     val = getattr(args, key)
     if val is None:
-        raise CommandError(f"missing required option --{key.replace('_', '-')}")
+        raise CommandError(f"missing required option {flag or '--' + key.replace('_', '-')}")
     return val
 
 
@@ -516,6 +516,7 @@ def cmd_attention_map(args) -> int:
     import numpy as np
 
     from . import backbone as bb
+    from .field import DegenerateGeometryError
 
     seed = args.seed
     mode = _required(args, "mode")
@@ -541,8 +542,8 @@ def cmd_attention_map(args) -> int:
         probe = _required(args, "atom")
         if not 0 <= probe < n:
             raise CommandError(f"--atom must index an atom (0..{n - 1})")
-        p0 = np.array(_required(args, "path_from"))
-        p1 = np.array(_required(args, "path_to"))
+        p0 = np.array(_required(args, "path_from", "--from"))
+        p1 = np.array(_required(args, "path_to", "--to"))
         steps = args.steps
         if steps < 1:
             raise CommandError("need at least one sweep step")
@@ -553,7 +554,10 @@ def cmd_attention_map(args) -> int:
             pos = system.positions.copy()
             pos[probe] = p0 + t * (p1 - p0)
             cfg = bb.AtomicConfiguration(species=system.species, positions=pos)
-            edges, trace = bb.model_edge_gates(cfg, state)
+            try:
+                edges, trace = bb.model_edge_gates(cfg, state)
+            except DegenerateGeometryError as exc:
+                raise CommandError(f"sweep step {s}: {exc}")
             for j in neighbors:
                 alphas, pooled = gate_row(edges, trace, probe, j)
                 dist = float(np.linalg.norm(pos[j] - pos[probe]))
@@ -570,7 +574,7 @@ def cmd_attention_map(args) -> int:
         radius = args.radius
         if radius <= 0:
             raise CommandError("--radius must be positive")
-        m_theta, n_phi = _required(args, "sweep_grid")
+        m_theta, n_phi = _required(args, "sweep_grid", "--grid")
         header = ["theta", "phi", "x", "y", "z"] + alpha_cols + pooled_cols
         for i in range(m_theta):
             theta = (i + 0.5) * (np.pi / 2.0) / m_theta  # upper hemisphere

@@ -15,7 +15,6 @@ arrays.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,22 +28,11 @@ class DegenerateGeometryError(ValueError):
     """Raised when two atoms of an edge (nearly) coincide."""
 
 
-@dataclass
-class EdgeSphericalField:
-    """Field values over the grid for one edge (or a batch of edges).
-
-    ``distance`` is r_ij with shape (...,); ``values`` has shape
-    (..., n_grid). Either numpy arrays or autodiff nodes.
-    """
-
-    distance: object
-    values: object
-
-
-def grid_field(x_i, x_j, grid: SphericalGrid) -> EdgeSphericalField:
+def grid_field(x_i, x_j, grid: SphericalGrid):
     """Distances from x_j to probe points x_i + r_ij g_k, one per grid point.
 
-    Accepts leading batch axes on the atom positions. Raises
+    Accepts leading batch axes on the atom positions. Returns (r, values):
+    the separations r_ij (...,) and the field (..., n_grid). Raises
     DegenerateGeometryError if any separation is at or below 1e-8.
     """
     xi_shape, xj_shape = np.shape(ad.value_of(x_i)), np.shape(ad.value_of(x_j))
@@ -61,7 +49,7 @@ def grid_field(x_i, x_j, grid: SphericalGrid) -> EdgeSphericalField:
         ad.mul(ad.reshape(r, r_val.shape + (1, 1)), grid.points),  # points: (G, 3)
     )
     values = ad.norm(ad.sub(ad.reshape(x_j, xj_shape[:-1] + (1, 3)), probe), axis=-1)
-    return EdgeSphericalField(r, values)
+    return r, values
 
 
 _RBF_RE = re.compile(r"^rbf\((\d+)\)$")
@@ -77,17 +65,17 @@ def parse_feature_mode(mode: str) -> int:
     raise ValueError(f"unknown field feature mode: {mode!r}")
 
 
-def field_features(field: EdgeSphericalField, mode: str = "scalar"):
+def field_features(r, values, mode: str):
     """Encode field values into per-grid-point feature vectors (..., G, d_f).
 
+    ``r`` (...,) and ``values`` (..., G) are what grid_field returns.
     'scalar' is the normalized distance t = d/(2r) in [0, 1]. 'rbf(n)'
     evaluates n Gaussians centered uniformly on [0, 2r] with width equal
     to the center spacing 2r/(n-1) (center r, width r for n = 1);
     implemented on t, where centers and widths become constants.
     """
     d_f = parse_feature_mode(mode)
-    dist = field.distance
-    t = ad.div(field.values, ad.mul(ad.reshape(dist, np.shape(ad.value_of(dist)) + (1,)), 2.0))
+    t = ad.div(values, ad.mul(ad.reshape(r, np.shape(ad.value_of(r)) + (1,)), 2.0))
     tt = ad.reshape(t, np.shape(ad.value_of(t)) + (1,))
     if mode == "scalar":
         return tt

@@ -5,6 +5,7 @@ import pytest
 
 from sphattn import autodiff as ad
 from sphattn import backbone as bb
+from sphattn import field
 from sphattn import training
 from sphattn.geometry import (
     RigidMotion,
@@ -462,6 +463,26 @@ def test_batch_graph_with_parameter_leaves_reaches_all_trainables():
             assert np.all(g == 0.0), k
         else:
             assert np.any(g != 0.0), k
+
+
+@pytest.mark.parametrize("key", ["embed", "readout", "layer0.radial", "layer0.attn.pos"])
+def test_non_finite_parameter_is_named(key):
+    state = small_model(seed=3, random_gate=True)
+    for gating in (True, False):
+        state.config["gating"] = gating
+        state.params[key] = state.params[key].copy()
+        state.params[key].flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"non-finite values in parameter '{key}'"):
+            bb.energy(cloud(np.random.default_rng(1)), state)
+
+
+@pytest.mark.filterwarnings("error")
+def test_coincident_atoms_raise_degenerate_geometry_naming_both():
+    state = small_model(seed=4)
+    pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    config = bb.AtomicConfiguration(species=np.full(3, 6), positions=pos)
+    with pytest.raises(field.DegenerateGeometryError, match="atoms 1 and 2 coincide"):
+        bb.energy(config, state)
 
 
 def test_batch_graph_rejects_empty():

@@ -463,6 +463,30 @@ def test_attention_map_rejects_bad_probe(tmp_path, capsys):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("missing,given", [
+    ("--from", ["--to", "1,0,0"]),
+    ("--to", ["--from", "1,0,0"]),
+    ("--grid", None),
+])
+def test_attention_map_missing_option_names_its_flag(capsys, missing, given):
+    mode = ["--mode", "angular", "--center", "0", "--probe", "1"] if given is None else \
+        ["--mode", "radial", "--atom", "1", *given]
+    code, _, err = run_cli(capsys, ["attention-map", *mode, "--random-model", "--system", "synth:trimer"])
+    assert code == 2
+    assert err.strip() == f"error: missing required option {missing}"
+
+
+def test_attention_map_radial_path_through_an_atom_names_step_and_atoms(tmp_path, capsys):
+    # synth:trimer's atom 0 sits at the origin, where the sweep starts
+    code, _, err = run_cli(capsys, [
+        "attention-map", "--mode", "radial", "--random-model", "--system", "synth:trimer",
+        "--atom", "1", "--from", "0,0,0", "--to", "1,0,0", "--out", str(tmp_path / "map"),
+    ])
+    assert code == 2
+    assert "sweep step 0: atoms 0 and 1 coincide" in err
+    assert "RuntimeWarning" not in err
+
+
 # ------------------------------------------------------- check-equivariance cmd
 
 def test_check_equivariance_ungated_passes_hard_tolerances(tmp_path, capsys):

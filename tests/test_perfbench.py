@@ -21,20 +21,50 @@ def test_benchmark_selftest_passes():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
-def test_every_name_the_benchmark_wraps_still_exists():
-    # instrument() looks up each attribute it wraps, so a renamed or
-    # deleted function raises AttributeError here
+def _with_perfbench(*lines):
+    """Run ``lines`` in a fresh interpreter that has perfbench's spans and workloads imported."""
     code = "\n".join([
         "import sys",
         "sys.path.insert(0, 'perfbench')",
         "import run",
         "run._import_program()",
         "import spans, workloads",
-        "tracer = spans.Tracer()",
-        "workloads.instrument(tracer)",
-        "tracer.restore()",
+        *lines,
     ])
     run = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stdout + run.stderr
+    return run.stdout
+
+
+def test_every_name_the_benchmark_wraps_still_exists():
+    # instrument() looks up each attribute it wraps, so a renamed or
+    # deleted function raises AttributeError here
+    _with_perfbench(
+        "tracer = spans.Tracer()",
+        "workloads.instrument(tracer)",
+        "tracer.restore()",
+    )
+
+
+def test_traced_energy_and_forces_opens_every_per_layer_span():
+    # a refactor that keeps a wrapped name but stops calling it through
+    # its module attribute would leave that span, and its metric, at zero
+    out = _with_perfbench(
+        "from sphattn import backbone as bb",
+        "model = bb.new_model([6], seed=1, random_gate=True)",
+        "tracer = spans.Tracer()",
+        "workloads.instrument(tracer)",
+        "try:",
+        "    bb.energy_and_forces(workloads._trimer(), model)",
+        "finally:",
+        "    tracer.restore()",
+        "print(' '.join(sorted({s[0] for s in tracer.spans})))",
+    )
+    expected = {
+        "field.grid_field", "field.field_features", "attention.build_qkv",
+        "attention.spherical_attention", "attention.pool_attention", "attention.gate",
+        "backbone.radial_basis", "backbone.taped_harmonics", "geometry.neighbor_list",
+    }
+    assert expected <= set(out.split()), sorted(expected - set(out.split()))
