@@ -1,13 +1,44 @@
 """Continuous attention over the sphere, discretized by grid quadrature.
 
-Per edge, queries/keys/values live on the quadrature grid: each combines
-a projection of a node feature vector, a projection of the edge field
-features, and (optionally) a per-grid-point positional embedding that is
-anchored in the global frame and deliberately does not rotate with the
-inputs. The attention output is a softmax-weighted quadrature average;
-pooling it over the grid and squashing yields one gate scalar per edge.
-``edge_gate`` chains these steps and is the one gate path; the backbone
-calls it once per layer.
+Per edge (i, j) and head (width dh, scale s = 1/sqrt(dh)), the query,
+key and value at a grid point g combine a projection of a node feature
+vector, a projection of the edge field features F_g (d_f wide) and,
+optionally, a per-grid-point positional row P_g that is anchored in the
+global frame and deliberately does not rotate with the inputs:
+
+    q_g = A + W_qf F_g + P_g,   k_g = C + W_kf F_g + P_g,   v_g = B + W_vf F_g + P_g
+
+with A = W_q h_i, C = W_k h_j and B = W_v h_j. The attention output at g
+is sum_g' softmax_g(g') v_g', the softmax taken over g' with quadrature
+weights w_g', and the edge's pooled vector is the quadrature mean of the
+output over g. None of these per-grid-point vectors is ever built; the
+code evaluates the same quantities in exact low-rank form.
+
+*Logits.* Terms of s q_g.k_g' that are constant along g' cancel in the
+softmax over g', so only
+
+    q_g.k_g' ~ L_g.R_g' + r_g' + P_g.P_g'
+    L_g = [F_g W_qf^T W_kf + P_g W_kf, F_g],   R_g' = [F_g', P_g' W_qf]
+    r_g' = (W_kf^T A).F_g' + A.P_g'
+
+is kept: two factors 2 d_f wide (d_f without the positional rows, where
+only F_g W_qf^T W_kf F_g' + (W_kf^T A).F_g' is left), one per-edge row r
+and one (G, G) bias shared by every edge. C enters only through q_g.C,
+which does not depend on g', so ``wk_node`` drops out of the model: it
+is kept in the parameter table, but nothing reads it and its gradient
+is exactly zero.
+
+*Values.* Pooling commutes with the value sum, so the softmax is reduced
+to one distribution per edge and head, pi_g' = sum_g (w_g/4 pi)
+softmax_g(g'), which sums to 1, before any value is touched:
+
+    pooled = B + W_vf (sum_g' pi_g' F_g') + sum_g' pi_g' P_g'
+
+``build_qkv`` builds the factors and the value terms, ``spherical_attention``
+the distribution pi, ``pool_attention`` the pooled vector, and the gate
+head squashes it to one scalar per edge. ``edge_gate`` chains these steps
+and is the one gate path; the backbone calls it once per layer. The
+largest arrays are the (E, H, G, G) logits and their exponentials.
 
 With zero-initialized gate weights every gate starts at 0.5. Every
 function is written in autodiff primitives: if any input or parameter
@@ -19,7 +50,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import field as field_mod
 from .geometry import SphericalGrid
 
 FOUR_PI = 4.0 * np.pi
@@ -48,6 +78,11 @@ def init_params(
     ``gate_b`` ()) starts at zero, so every edge starts at alpha = 0.5;
     ``random_gate`` draws it like a projection instead, useful when a
     constant gate would make a rotation sweep vacuous.
+
+    ``wk_node`` is drawn but mathematically inert: the key's node term is
+    constant along the softmax axis and cancels (see the module
+    docstring). It stays so that checkpoints and the draws of every later
+    array keep their layout.
     """
     bh, bf = 1.0 / np.sqrt(d_h), 1.0 / np.sqrt(d_f)
     u = lambda b, shape: rng.uniform(-b, b, size=shape)
@@ -59,74 +94,111 @@ def init_params(
     return p
 
 
-def _project(h, w, feats, wf, pos):
-    # h: (..., d_h), feats: (..., G, d_f) -> (..., G, d)
-    shape = np.shape(ad.value_of(h))
-    hq = ad.matmul(ad.reshape(h, shape[:-1] + (1, shape[-1])), ad.transpose(w))
-    fq = ad.matmul(feats, ad.transpose(wf))
-    out = ad.add(hq, fq)
-    if pos is not None:
-        out = ad.add(out, pos)
-    return out
+def _heads_first(x, heads: int):
+    # (n, H*dh) -> (H, n, dh): one matrix per head, with rows over edges or
+    # grid points, so products and their cotangents reduce over them in BLAS
+    n, d = np.shape(ad.value_of(x))
+    return ad.transpose(ad.reshape(x, (n, heads, d // heads)), (1, 0, 2))
 
 
-def build_qkv(h_i, h_j, field_feats, p, positional_encoding: bool):
-    """Queries, keys and values per grid point, each (..., G, d).
+def _swap_last(x):
+    n = np.ndim(ad.value_of(x))
+    return ad.transpose(x, tuple(range(n - 2)) + (n - 1, n - 2))
 
-    Queries see the receiving atom's features, keys and values the
-    sending atom's; all three share the same field features and, when
-    ``positional_encoding`` is on, the same positional embeddings.
+
+def build_qkv(h_i, h_j, field_feats, p, positional_encoding: bool, heads: int):
+    """Low-rank logit factors and value terms of every head.
+
+    h_i (E, d_h) are the receiving atoms' features, h_j the sending
+    atoms', and ``field_feats`` (E, G, d_f) the edge field features.
+    Returns (q, k, bias, v):
+
+    * q, k (E, H, G, m): per-head factors whose products q_g.k_g' plus
+      ``bias`` equal the scaled logits s q_g.k_g' up to a constant along
+      g'. q is [s L_g, s] and k is [R_g', r_g'] in the module docstring's
+      notation, so m = 2 d_f + 1 with positional encoding and d_f + 1
+      without.
+    * bias: the (H, G, G) term s P_g.P_g' shared by every edge, or None
+      when ``positional_encoding`` is off.
+    * v: (B, F, W_vf, P), the terms of the value B + W_vf F_g + P_g: the
+      sender's projection (E, d), the field features, the (d, d_f)
+      field projection and the (G, d) positional rows, None when off.
     """
-    pos = p["pos"] if positional_encoding else None
-    q = _project(h_i, p["wq_node"], field_feats, p["wq_field"], pos)
-    k = _project(h_j, p["wk_node"], field_feats, p["wk_field"], pos)
-    v = _project(h_j, p["wv_node"], field_feats, p["wv_field"], pos)
-    return q, k, v
-
-
-def spherical_attention(q, k, v, grid: SphericalGrid, heads: int = 1):
-    """Quadrature-discretized attention output at every grid point.
-
-    out(g_m) = sum_k exp(q_m . k_k / sqrt(d)) w_k v_k /
-               sum_k exp(q_m . k_k / sqrt(d)) w_k
-    evaluated per head with d the head width; logits are shifted by their
-    (detached) row maximum before exponentiation.
-    """
-    shape = np.shape(ad.value_of(q))
-    if shape[-2] != grid.n_points:
-        raise ValueError("queries do not match the grid size")
-    d = shape[-1]
+    ne, g, d_f = np.shape(ad.value_of(field_feats))
+    d = np.shape(ad.value_of(p["wq_field"]))[0]
     if heads < 1 or d % heads:
         raise ValueError("heads must divide the attention width")
     dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
 
-    def swap(x, a, b):  # transpose two axes counted from the end
-        order = list(range(np.ndim(ad.value_of(x))))
-        order[a], order[b] = order[b], order[a]
-        return ad.transpose(x, tuple(order))
+    feats = ad.reshape(field_feats, (ne, 1, g, d_f))
+    feats_h = ad.broadcast_to(feats, (ne, heads, g, d_f))
+    w_qf = ad.reshape(p["wq_field"], (heads, dh, d_f))
+    w_kf = ad.reshape(p["wk_field"], (heads, dh, d_f))
+    a = _heads_first(ad.matmul(h_i, ad.transpose(p["wq_node"])), heads)  # (H, E, dh)
 
-    def split(x):  # (..., G, d) -> (..., H, G, dh)
-        x = ad.reshape(x, np.shape(ad.value_of(x))[:-1] + (heads, dh))
-        return swap(x, -3, -2)
+    # r_g' = (W_kf^T A).F_g' [+ A.P_g'], one row per edge and head
+    row = ad.matmul(ad.transpose(ad.matmul(a, w_kf), (1, 0, 2)), _swap_last(field_feats))  # (E, H, G)
+    left = ad.matmul(feats, ad.matmul(_swap_last(w_qf), w_kf))  # F_g W_qf^T W_kf
+    right = feats_h
+    pos = bias = None
+    if positional_encoding:
+        pos = p["pos"]
+        pos_h = _heads_first(pos, heads)  # (H, G, dh)
+        row = ad.add(row, ad.transpose(ad.matmul(a, _swap_last(pos_h)), (1, 0, 2)))
+        left = ad.concat([ad.add(left, ad.matmul(pos_h, w_kf)), feats_h], axis=-1)
+        right = ad.concat([feats_h, ad.broadcast_to(ad.matmul(pos_h, w_qf), (ne, heads, g, d_f))], axis=-1)
+        bias = ad.mul(ad.matmul(pos_h, _swap_last(pos_h)), scale)
+    q = ad.mul(ad.concat([left, np.ones((ne, heads, g, 1))], axis=-1), scale)
+    k = ad.concat([right, ad.reshape(row, (ne, heads, g, 1))], axis=-1)
+    v = (ad.matmul(h_j, ad.transpose(p["wv_node"])), field_feats, p["wv_field"], pos)
+    return q, k, bias, v
 
-    qh, kh, vh = split(q), split(k), split(v)
-    logits = ad.mul(ad.matmul(qh, swap(kh, -2, -1)), 1.0 / np.sqrt(dh))
+
+def spherical_attention(q, k, grid: SphericalGrid, bias=None):
+    """Quadrature-pooled attention distribution over the grid: (..., G).
+
+    With logits l(g, g') = q_g.k_g' (+ bias) for factors q, k (..., G, m)
+    and a bias broadcastable to (..., G, G), returns
+
+        pi(g') = sum_g (w_g / 4 pi) exp(l(g, g')) w_g' / sum_g'' exp(l(g, g'')) w_g''
+
+    the per-query softmaxes with quadrature weights, averaged over the
+    queries with the quadrature mean. It sums to 1, so a value field
+    v_g' pools to sum_g' pi(g') v_g'. Logits are shifted by their
+    (detached) row maximum before exponentiation.
+    """
+    if np.shape(ad.value_of(k))[-2] != grid.n_points:
+        raise ValueError("keys do not match the grid size")
+    logits = ad.matmul(q, _swap_last(k))
+    if bias is not None:
+        logits = ad.add(logits, bias)
     logits_val = ad.value_of(logits)
     if not np.all(np.isfinite(logits_val)):
         raise NumericalOverflowError("non-finite attention logits")
-    shift = np.max(logits_val, axis=-1, keepdims=True)
-    e = ad.mul(ad.exp(ad.sub(logits, shift)), grid.weights)
-    num = ad.matmul(e, vh)  # (..., H, G, dh)
-    den = ad.sum_(e, axis=-1, keepdims=True)
-    out = swap(ad.div(num, den), -3, -2)  # (..., G, H, dh)
-    return ad.reshape(out, np.shape(ad.value_of(out))[:-2] + (d,))
+    e = ad.exp(ad.sub(logits, np.max(logits_val, axis=-1, keepdims=True)))
+    w = grid.weights
+    den = ad.matmul(e, w[:, None])  # (..., G, 1)
+    coef = ad.div((w / FOUR_PI)[:, None], den)
+    pi = ad.mul(ad.matmul(_swap_last(coef), e), w)  # (..., 1, G)
+    return ad.reshape(pi, np.shape(ad.value_of(pi))[:-2] + (grid.n_points,))
 
 
-def pool_attention(attn_out, grid: SphericalGrid):
-    """Quadrature mean of the attention output over the grid: (..., d)."""
-    if np.shape(ad.value_of(attn_out))[-2] != grid.n_points:
-        raise ValueError("attention output does not match the grid size")
-    return ad.sum_(ad.mul(attn_out, grid.weights[:, None] / FOUR_PI), axis=-2)
+def pool_attention(pi, v):
+    """Pooled attention output B + W_vf (pi F) + pi P of every edge: (E, d).
+
+    ``pi`` (E, H, G) is spherical_attention's distribution per head and
+    ``v`` the value terms (B, F, W_vf, P) that build_qkv returns; head h
+    pools the h-th dh-wide slice of W_vf's rows and of P's columns.
+    """
+    b, feats, w_vf, pos = v
+    ne, heads, _ = np.shape(ad.value_of(pi))
+    d, d_f = np.shape(ad.value_of(w_vf))
+    pf = ad.transpose(ad.matmul(pi, feats), (1, 0, 2))  # (H, E, d_f)
+    out = ad.matmul(pf, _swap_last(ad.reshape(w_vf, (heads, d // heads, d_f))))  # (H, E, dh)
+    if pos is not None:
+        out = ad.add(out, ad.matmul(ad.transpose(pi, (1, 0, 2)), _heads_first(pos, heads)))
+    return ad.add(ad.reshape(ad.transpose(out, (1, 0, 2)), (ne, d)), b)
 
 
 def gate_preactivation(pooled, p):
@@ -141,19 +213,18 @@ def gate_activation(z, kind: str):
     raise ValueError(f"gate_activation must be one of {GATE_ACTIVATIONS}")
 
 
-def edge_gate(x_i, x_j, h_i, h_j, grid: SphericalGrid, p, config: dict):
+def edge_gate(field_feats, h_i, h_j, grid: SphericalGrid, p, config: dict):
     """Gate in (0, 1) and pooled attention output for each edge (i, j).
 
-    x_* are the (..., 3) positions and h_* the (..., d_h) scalar features
-    of the receiving and sending atoms, one row per edge. Runs the field,
-    its features, Q/K/V, the spherical attention, the grid pooling and
-    the gate head; ``field_mode``, ``heads``, ``positional_encoding`` and
-    ``gate_activation`` come from the model config. Returns
-    (alpha (...,), pooled (..., d)).
+    ``field_feats`` (E, G, d_f) are the edge field features
+    (field.field_features of field.grid_field), and h_* the (E, d_h)
+    scalar features of the receiving and sending atoms, one row per edge.
+    Runs the low-rank Q/K/V factors, the pooled spherical attention, the
+    value pooling and the gate head; ``heads``, ``positional_encoding``
+    and ``gate_activation`` come from the model config. Returns
+    (alpha (E,), pooled (E, d)).
     """
-    r, values = field_mod.grid_field(x_i, x_j, grid)
-    ff = field_mod.field_features(r, values, config["field_mode"])
-    q, k, v = build_qkv(h_i, h_j, ff, p, config["positional_encoding"])
-    pooled = pool_attention(spherical_attention(q, k, v, grid, heads=config["heads"]), grid)
+    q, k, bias, v = build_qkv(h_i, h_j, field_feats, p, config["positional_encoding"], config["heads"])
+    pooled = pool_attention(spherical_attention(q, k, grid, bias), v)
     alpha = gate_activation(gate_preactivation(pooled, p), config["gate_activation"])
     return alpha, pooled

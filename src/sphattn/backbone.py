@@ -260,6 +260,11 @@ def _forward_blocks(
         rhat = ad.div(rvec, ad.reshape(r, (ne, 1)))
         ylm = taped_harmonics(l_out, rhat)  # (E, (l_out+1)^2)
         basis = radial_basis(r, cfg["cutoff"], cfg["n_bessel"], cfg["envelope_p"])
+        # the edge field depends on positions alone: once per call, and
+        # not at all when no layer runs the attention
+        gated = cfg["gating"] and gate_override is None
+        if gated:
+            feats = field_mod.field_features(*field_mod.grid_field(xi, xj, grid), cfg["field_mode"])
 
         for t in range(cfg["layers"]):
             radial = ad.matmul(basis, ad.transpose(params[f"layer{t}.radial"]))
@@ -268,14 +273,13 @@ def _forward_blocks(
             s_j = ad.reshape(ad.take(scalars, (send,)), (ne, 1, c))
 
             alpha = pooled = None
-            if cfg["gating"]:
-                if gate_override is not None:
-                    alpha = np.full(ne, float(gate_override))
-                else:
-                    alpha, pooled = attn_mod.edge_gate(
-                        xi, xj, ad.take(scalars, (recv,)), ad.take(scalars, (send,)), grid,
-                        {name: params[f"layer{t}.attn.{name}"] for name in attn_mod.PARAM_NAMES}, cfg,
-                    )
+            if gated:
+                alpha, pooled = attn_mod.edge_gate(
+                    feats, ad.take(scalars, (recv,)), ad.take(scalars, (send,)), grid,
+                    {name: params[f"layer{t}.attn.{name}"] for name in attn_mod.PARAM_NAMES}, cfg,
+                )
+            elif cfg["gating"]:
+                alpha = np.full(ne, float(gate_override))
             if gate_trace is not None:
                 gate_trace.append({
                     "alpha": np.ones(ne) if alpha is None else np.array(ad.value_of(alpha), dtype=float),

@@ -5,7 +5,9 @@ grid direction g is the distance from x_j to the probe point x_i + r g.
 Equivalently d(g) = r sqrt(2 (1 + cos angle(g, u))) with u = (x_i - x_j)/r,
 so the field is linear in r, vanishes at the direction pointing from i
 to j, and peaks at 2r opposite it. It is invariant under rigid motions
-applied to both atoms and the grid.
+applied to both atoms and the grid. It depends on positions alone, so
+the backbone evaluates it and its features once per call and hands the
+features to every layer's attention.
 
 Every function is written in autodiff primitives: a node in gives a
 node out, so forces flow through the field, and plain arrays give plain

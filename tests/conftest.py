@@ -1,11 +1,12 @@
-"""Shared test helpers: finite-difference oracles and random rigid motions."""
+"""Shared test helpers: finite-difference oracles, random rigid motions and
+per-grid-point attention."""
 
 from __future__ import annotations
 
 import numpy as np
 
 import _verdicts
-from sphattn import geometry
+from sphattn import attention, geometry
 
 
 def central_diff(f, x, step=1e-5):
@@ -39,6 +40,22 @@ def random_rotation(rng) -> np.ndarray:
 
 def random_rigid(rng, tmax=5.0) -> geometry.RigidMotion:
     return geometry.RigidMotion(random_rotation(rng), rng.uniform(-tmax, tmax, size=3))
+
+
+def per_point_attention(q, k, v, grid, heads=1):
+    """Attention output at every grid point, (G, d), from dense q, k, v (G, d).
+
+    The library only evaluates attention pooled over the queries. An edge
+    whose every query equals q_g has identical softmax rows, so its pooled
+    distribution is the softmax of q_g; one such edge per grid point gives
+    the per-point outputs. Values enter as positional rows, the one value
+    term that lives on the grid alone. Logits are unscaled.
+    """
+    g, d = q.shape
+    split = lambda x: x.reshape(g, heads, d // heads).swapaxes(0, 1)  # (H, G, dh)
+    rows = np.broadcast_to(split(q)[:, :, None, :], (heads, g, g, d // heads)).swapaxes(0, 1)
+    pi = attention.spherical_attention(rows, split(k), grid)  # (G, H, G)
+    return attention.pool_attention(pi, (np.zeros((g, d)), np.zeros((g, g, 1)), np.zeros((d, 1)), v))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

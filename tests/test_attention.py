@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sphattn import attention, autodiff as ad, backbone as bb, field, geometry
-from conftest import central_diff, random_rotation, relative_close
+from conftest import central_diff, per_point_attention, random_rotation, relative_close
 
 GRID = geometry.build_equiangular_grid(4, 8)
 G = GRID.n_points
@@ -22,11 +22,16 @@ def random_qkv(rng, d=8):
     return rng.normal(size=(G, d)), rng.normal(size=(G, d)), rng.normal(size=(G, d))
 
 
+def edge_inputs(rng, n=3, d_h=5, d_f=1):
+    """Field features and receiver/sender features of ``n`` random edges."""
+    return rng.uniform(0, 1, size=(n, G, d_f)), rng.normal(size=(n, d_h)), rng.normal(size=(n, d_h))
+
+
 def test_constant_values_give_constant_output():
     rng = np.random.default_rng(0)
     const = rng.normal(size=8)
     q, k = rng.normal(size=(G, 8)), rng.normal(size=(G, 8))
-    out = attention.spherical_attention(q, k, np.tile(const, (G, 1)), GRID)
+    out = per_point_attention(q, k, np.tile(const, (G, 1)), GRID)
     assert np.max(np.abs(out - const)) < 1e-12
 
 
@@ -34,7 +39,7 @@ def test_output_within_value_extrema():
     rng = np.random.default_rng(1)
     for _ in range(10):
         q, k, v = random_qkv(rng)
-        out = attention.spherical_attention(q, k, v, GRID)
+        out = per_point_attention(q, k, v, GRID)
         assert np.all(out <= v.max(axis=0) + 1e-12)
         assert np.all(out >= v.min(axis=0) - 1e-12)
 
@@ -42,59 +47,70 @@ def test_output_within_value_extrema():
 def test_zero_queries_give_quadrature_mean():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(G, 8))
-    out = attention.spherical_attention(np.zeros((G, 8)), rng.normal(size=(G, 8)), v, GRID)
+    out = per_point_attention(np.zeros((G, 8)), rng.normal(size=(G, 8)), v, GRID)
     mean = (GRID.weights[:, None] * v).sum(axis=0) / (4 * np.pi)
     assert np.max(np.abs(out - mean)) < 1e-12
 
 
 def test_multihead_concatenates_per_head_results():
+    # head h is the one-head layer over the h-th slice of every projection
     rng = np.random.default_rng(3)
-    q, k, v = random_qkv(rng, d=8)
-    out = attention.spherical_attention(q, k, v, GRID, heads=2)
-    for h, sl in enumerate((slice(0, 4), slice(4, 8))):
-        expect = attention.spherical_attention(q[:, sl], k[:, sl], v[:, sl], GRID, heads=1)
-        assert np.max(np.abs(out[:, sl] - expect)) < 1e-14
+    p = make_params(rng, random_gate=True)
+    ff, h_i, h_j = edge_inputs(rng)
+    _, pooled = attention.edge_gate(ff, h_i, h_j, GRID, p, {**CONFIG, "heads": 2})
+    for sl in (slice(0, 4), slice(4, 8)):
+        head = {n: p[n][sl] for n in attention.PROJECTION_NAMES}
+        head.update(pos=p["pos"][:, sl], gate_w=p["gate_w"][sl], gate_b=p["gate_b"])
+        expect = attention.edge_gate(ff, h_i, h_j, GRID, head, CONFIG)[1]
+        assert np.max(np.abs(pooled[:, sl] - expect)) < 1e-14
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_logits_raise():
     with pytest.raises(attention.NumericalOverflowError):
-        attention.spherical_attention(np.full((G, 4), 1e200), np.full((G, 4), 1e200), np.ones((G, 4)), GRID)
+        attention.spherical_attention(np.full((G, 4), 1e200), np.full((G, 4), 1e200), GRID)
 
 
 def test_build_qkv_zero_parameters_give_zero_field():
     rng = np.random.default_rng(4)
     zero = {n: np.zeros_like(v) for n, v in make_params(rng).items()}
-    feats = rng.uniform(0, 1, size=(G, 1))
-    q, k, v = attention.build_qkv(rng.normal(size=5), rng.normal(size=5), feats, zero, True)
-    assert np.all(q == 0) and np.all(k == 0) and np.all(v == 0)
+    ff, h_i, h_j = edge_inputs(rng)
+    q, k, bias, v = attention.build_qkv(h_i, h_j, ff, zero, True, 1)
+    assert np.all(q @ k.swapaxes(-1, -2) + bias == 0)
+    b, _, w_vf, pos = v
+    assert np.all(b == 0) and np.all(w_vf == 0) and np.all(pos == 0)
+    pooled = attention.pool_attention(attention.spherical_attention(q, k, GRID, bias), v)
+    assert np.all(pooled == 0)
 
 
 def test_positional_encoding_flag_drops_p():
     rng = np.random.default_rng(5)
     p_on = make_params(rng)
-    feats = rng.uniform(0, 1, size=(G, 1))
-    h_i, h_j = rng.normal(size=5), rng.normal(size=5)
-    q_on = attention.build_qkv(h_i, h_j, feats, p_on, True)[0]
+    ff, h_i, h_j = edge_inputs(rng)
+    q_on, k_on, bias_on, v_on = attention.build_qkv(h_i, h_j, ff, p_on, True, 1)
 
     p_perturbed = {**p_on, "pos": p_on["pos"] + 123.0}
-    q_off = attention.build_qkv(h_i, h_j, feats, p_on, False)[0]
-    q_off2 = attention.build_qkv(h_i, h_j, feats, p_perturbed, False)[0]
-    assert np.array_equal(q_off, q_off2)  # bit-independent of p
-    assert not np.array_equal(q_on, q_off)
-    assert np.array_equal(q_on, q_off + p_on["pos"])
+    off = attention.build_qkv(h_i, h_j, ff, p_on, False, 1)
+    off2 = attention.build_qkv(h_i, h_j, ff, p_perturbed, False, 1)
+    for a, b in ((off[0], off2[0]), (off[1], off2[1]), (off[3][0], off2[3][0])):
+        assert np.array_equal(a, b)  # bit-independent of p
+    assert off[2] is None and off[3][3] is None
+    assert q_on.shape[-1] == 3 and off[0].shape[-1] == 2  # 2 d_f + 1 and d_f + 1 wide
+    assert np.allclose(bias_on[0], p_on["pos"] @ p_on["pos"].T / np.sqrt(8), rtol=1e-14, atol=0)
+    assert v_on[3] is p_on["pos"]
 
 
-def _gate(out, grid, p):
-    pooled = attention.pool_attention(out, grid)
+def _gate(ff, h_i, h_j, p):
+    """The gate composed from the public steps, as edge_gate chains them."""
+    q, k, bias, v = attention.build_qkv(h_i, h_j, ff, p, CONFIG["positional_encoding"], CONFIG["heads"])
+    pooled = attention.pool_attention(attention.spherical_attention(q, k, GRID, bias), v)
     return attention.gate_activation(attention.gate_preactivation(pooled, p), CONFIG["gate_activation"])
 
 
 def test_zero_gate_starts_at_half():
     rng = np.random.default_rng(6)
     p = make_params(rng)
-    out = rng.normal(size=(G, 8))
-    assert _gate(out, GRID, p) == 0.5
+    assert np.all(_gate(*edge_inputs(rng), p) == 0.5)
 
 
 def test_gate_activations():
@@ -115,7 +131,8 @@ def test_param_validation():
 
 def _edge_gates(pos, feats, grid, p, nl, config=CONFIG):
     recv, send = nl.edges[:, 0], nl.edges[:, 1]
-    return attention.edge_gate(pos[recv], pos[send], feats[recv], feats[send], grid, p, config)[0]
+    ff = field.field_features(*field.grid_field(pos[recv], pos[send], grid), config["field_mode"])
+    return attention.edge_gate(ff, feats[recv], feats[send], grid, p, config)[0]
 
 
 def test_edge_gates_match_single_edge_composition():
@@ -125,14 +142,12 @@ def test_edge_gates_match_single_edge_composition():
     feats = rng.normal(size=(4, 6))
     nl = geometry.neighbor_list(pos, 5.0)
     recv, send = nl.edges[:, 0], nl.edges[:, 1]
-    alphas, pooled = attention.edge_gate(pos[recv], pos[send], feats[recv], feats[send], GRID, p, CONFIG)
+    ff = field.field_features(*field.grid_field(pos[recv], pos[send], GRID), "scalar")
+    alphas, pooled = attention.edge_gate(ff, feats[recv], feats[send], GRID, p, CONFIG)
     assert alphas.shape == (nl.n_edges,) and pooled.shape == (nl.n_edges, 8)
     for e, (i, j) in enumerate(nl.edges):
-        r, values = field.grid_field(pos[i], pos[j], GRID)
-        ff = field.field_features(r, values, "scalar")
-        q, k, v = attention.build_qkv(feats[i], feats[j], ff, p, True)
-        out = attention.spherical_attention(q, k, v, GRID, heads=1)
-        assert abs(alphas[e] - _gate(out, GRID, p)) < 1e-12
+        ff_e = field.field_features(*field.grid_field(pos[[i]], pos[[j]], GRID), "scalar")
+        assert abs(alphas[e] - _gate(ff_e, feats[[i]], feats[[j]], p)[0]) < 1e-12
 
 
 def test_edge_gate_of_an_empty_neighborhood_is_empty():
@@ -143,7 +158,8 @@ def test_edge_gate_of_an_empty_neighborhood_is_empty():
     assert nl.n_edges == 0
     recv, send = nl.edges[:, 0], nl.edges[:, 1]
     h = rng.normal(size=(2, 5))
-    alphas, pooled = attention.edge_gate(pos[recv], pos[send], h[recv], h[send], GRID, p, CONFIG)
+    ff = field.field_features(*field.grid_field(pos[recv], pos[send], GRID), "scalar")
+    alphas, pooled = attention.edge_gate(ff, h[recv], h[send], GRID, p, CONFIG)
     assert alphas.shape == (0,) and pooled.shape == (0, 8)
 
 
@@ -159,6 +175,8 @@ def test_symmetric_dimer_gates_are_equal():
 
 
 def test_gradients_through_edge_gates_match_fd():
+    # wk_node is inert: the key's node term is constant along the softmax
+    # axis, so the gate never reads it and its gradient is exactly zero
     rng = np.random.default_rng(11)
     pos = rng.uniform(-1.2, 1.2, size=(3, 3))
     feats0 = rng.normal(size=(3, 4))
@@ -171,14 +189,85 @@ def test_gradients_through_edge_gates_match_fd():
 
     leaves = [ad.leaf(base[n]) for n in names]
     loss = build(leaves)
-    grads = ad.grad(loss, leaves, allow_unused=False)
+    grads = ad.grad(loss, leaves, allow_unused=True)
     for name, lf, g in zip(names, leaves, grads):
         def f(v, name=name, lf=lf):
             vals = [v if n == name else base[n] for n in names]
             return float(build(vals))
 
         fd = central_diff(f, base[name], step=1e-5)
-        assert relative_close(g.value, fd, 1e-5, floor=1e-10) >= 0.95, name
+        if name == "wk_node":
+            assert np.all(g.value == 0.0) and np.all(fd == 0.0)
+        else:
+            assert relative_close(g.value, fd, 1e-5, floor=1e-10) >= 0.95, name
+
+
+def dense_edge_gate(ff, h_i, h_j, grid, p, config):
+    """Reference gate and pooled vector with q, k and v built at every grid point."""
+    d = p["wq_node"].shape[0]
+    heads = config["heads"]
+    dh = d // heads
+    pos = p["pos"] if config["positional_encoding"] else 0.0
+    q = (h_i @ p["wq_node"].T)[:, None, :] + ff @ p["wq_field"].T + pos  # (E, G, d)
+    k = (h_j @ p["wk_node"].T)[:, None, :] + ff @ p["wk_field"].T + pos
+    v = (h_j @ p["wv_node"].T)[:, None, :] + ff @ p["wv_field"].T + pos
+    split = lambda x: x.reshape(len(x), grid.n_points, heads, dh).transpose(0, 2, 1, 3)  # (E, H, G, dh)
+    logits = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(dh)
+    a = np.exp(logits - logits.max(axis=-1, keepdims=True)) * grid.weights
+    a /= a.sum(axis=-1, keepdims=True)
+    out = (a @ split(v)).transpose(0, 2, 1, 3).reshape(len(q), grid.n_points, d)
+    pooled = np.einsum("g,egd->ed", grid.weights / (4 * np.pi), out)
+    z = pooled @ p["gate_w"] + p["gate_b"]
+    alpha = 1 / (1 + np.exp(-z)) if config["gate_activation"] == "logistic" else 0.5 * (1 + np.sin(z))
+    return alpha, pooled
+
+
+ORACLE_CASES = [
+    (heads, mode, pe, True) for heads in (1, 2, 4) for mode in ("scalar", "rbf(3)") for pe in (True, False)
+] + [(1, "scalar", True, False)]
+
+
+@pytest.mark.parametrize("heads,mode,pe,random_gate", ORACLE_CASES)
+def test_edge_gate_matches_dense_reference(heads, mode, pe, random_gate):
+    rng = np.random.default_rng(14)
+    model = bb.new_model([6], seed=3, random_gate=random_gate, field_mode=mode, heads=heads,
+                         positional_encoding=pe, channels=6, gate_activation="sinusoidal" if heads == 4 else "logistic")
+    p = {n: model.params[f"layer0.attn.{n}"] for n in PARAM_NAMES}
+    pos = rng.normal(0.0, 1.2, size=(6, 3))
+    h = rng.normal(size=(6, 6))
+    nl = geometry.neighbor_list(pos, 5.0)
+    recv, send = nl.edges[:, 0], nl.edges[:, 1]
+    ff = field.field_features(*field.grid_field(pos[recv], pos[send], GRID), mode)
+    alpha, pooled = attention.edge_gate(ff, h[recv], h[send], GRID, p, model.config)
+    ref_alpha, ref_pooled = dense_edge_gate(ff, h[recv], h[send], GRID, p, model.config)
+    assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12 * np.max(np.abs(ref_alpha))
+    assert np.max(np.abs(pooled - ref_pooled)) <= 1e-12 * np.max(np.abs(ref_pooled))
+    if not random_gate:
+        assert np.all(alpha == 0.5)
+
+
+@pytest.mark.parametrize("heads", (1, 2))
+def test_forward_tape_builds_no_per_grid_point_qkv(heads):
+    # the attention is evaluated from d_f-wide factors and a pooled
+    # distribution: no (E, G, d) or (E, H, G, d/H) array is ever taped
+    rng = np.random.default_rng(15)
+    while True:
+        pos = rng.normal(0.0, 1.2, size=(20, 3))
+        if geometry.neighbor_list(pos, 5.0).n_edges == 372:
+            break
+    config = bb.AtomicConfiguration(species=np.full(20, 6), positions=pos)
+    model = bb.new_model([6], seed=1, random_gate=True, heads=heads)
+    d, g = model.config["d"], bb.model_grid(model).n_points
+    graph = bb.batch_graph([config], model)
+    seen, stack = {}, [graph.energies]
+    while stack:
+        n = stack.pop()
+        if n.tid not in seen:
+            seen[n.tid] = n
+            stack.extend(n.parents)
+    shapes = {n.value.shape for n in seen.values()}
+    assert (372, g, g) in shapes or (372, heads, g, g) in shapes  # the walk does reach the attention
+    assert (372, g, d) not in shapes and (372, heads, g, d // heads) not in shapes
 
 
 def test_gate_deviation_shrinks_with_grid_refinement():
@@ -209,16 +298,13 @@ def test_gate_deviation_shrinks_with_grid_refinement():
 def test_gate_pipeline_tapes_whenever_one_parameter_is_a_leaf(name):
     # every input but one parameter is a plain array: the gate must still
     # come back as a node that depends on that parameter; with no leaf at
-    # all it is a plain array
+    # all, or with only the inert wk_node, it is a plain array
     rng = np.random.default_rng(13)
     base = make_params(rng, random_gate=True)
     leaf = None if name is None else ad.leaf(base[name])
     p = {**base, **({} if name is None else {name: leaf})}
-    ff = rng.uniform(0, 1, size=(3, G, 1))
-    q, k, v = attention.build_qkv(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), ff, p, True)
-    out = attention.spherical_attention(q, k, v, GRID, heads=1)
-    alpha = _gate(out, GRID, p)
-    if name is None:
+    alpha = _gate(*edge_inputs(rng), p)
+    if name in (None, "wk_node"):
         assert type(alpha) is np.ndarray and alpha.shape == (3,)
         return
     assert isinstance(alpha, ad.Node)

@@ -457,12 +457,26 @@ def test_batch_graph_with_parameter_leaves_reaches_all_trainables():
     grads = ad.grad(loss, [pnodes[k] for k in names], allow_unused=True)
     got = {k: g.value for k, g in zip(names, grads)}
     # higher-order mixing matrices only touch non-scalar blocks, which the
-    # scalar readout never consumes; everything else must receive signal
+    # scalar readout never consumes, and the key's node projection cancels
+    # in the attention softmax; everything else must receive signal
     for k, g in got.items():
-        if ".mix1" in k or ".mix2" in k:
+        if ".mix1" in k or ".mix2" in k or k.endswith(".wk_node"):
             assert np.all(g == 0.0), k
         else:
             assert np.any(g != 0.0), k
+
+
+def test_field_is_built_once_per_call_and_only_for_the_attention(monkeypatch):
+    calls = []
+    grid_field = field.grid_field
+    monkeypatch.setattr(field, "grid_field", lambda *args: calls.append(1) or grid_field(*args))
+    state = small_model(seed=2, layers=3)
+    config = cloud(np.random.default_rng(3))
+    bb.energy_and_forces(config, state)
+    assert len(calls) == 1  # shared by the three layers
+    bb.energy_and_forces(config, state, gate_override=1.0)
+    bb.energy(config, bb.ModelState(dict(state.config, gating=False), state.params))
+    assert len(calls) == 1  # clamped and ungated models never read it
 
 
 @pytest.mark.parametrize("key", ["embed", "readout", "layer0.radial", "layer0.attn.pos"])
