@@ -37,8 +37,29 @@ softmax_g(g'), which sums to 1, before any value is touched:
 ``build_qkv`` builds the factors and the value terms, ``spherical_attention``
 the distribution pi, ``pool_attention`` the pooled vector, and the gate
 head squashes it to one scalar per edge. ``edge_gate`` chains these steps
-and is the one gate path; the backbone calls it once per layer. The
-largest arrays are the (E, H, G, G) logits and their exponentials.
+and is the one gate path; the backbone calls it once per layer.
+
+*The softmax as two primitives.* The only (E, H, G, G) arrays are in
+``spherical_attention``, which packs q and k on their last axis and runs
+two autodiff primitives with hand-written VJPs (ct is the incoming
+cotangent):
+
+    logit_exp(qk, bias):  e = exp(q k^T + bias - rowmax), in one buffer
+        VJP:  dl = ct * e,  d[q, k] = [dl k, dl^T q],  d bias = sum of dl
+    pool_softmax(e, w):   pi_g' = w_g' sum_g c_g e(g, g'),
+                          den = e w,  c = (w / 4 pi) / den
+        VJP:  de(g, g') = c_g (u_g' - (s_g / den_g) w_g'),  u = ct * w,  s = e u
+
+so e is the one (E, H, G, G) array a layer leaves on the tape. The
+pool_softmax VJP forms den again from e (one matrix-vector product) and
+writes de as a single rank-2 product, and dl is formed once for both
+halves of the pack. Both VJPs are written in autodiff primitives, so
+under ``create_graph=True`` they are taped and the trainer's force loss
+differentiates through them again. Recomputing e in the backward pass
+instead, whole with a low-rank backward or in edge blocks so that no
+(E, G, G) array exists at once, would hold less memory, but on a 2-core
+machine it made a training step 29% slower (low-rank) and 35-80% slower
+(blocked), so e stays on the tape whole.
 
 With zero-initialized gate weights every gate starts at 0.5. Every
 function is written in autodiff primitives: if any input or parameter
@@ -155,11 +176,83 @@ def build_qkv(h_i, h_j, field_feats, p, positional_encoding: bool, heads: int):
     return q, k, bias, v
 
 
+def _logit_exp(qk, bias=None):
+    m = qk.shape[-1] // 2
+    e = qk[..., :m] @ np.swapaxes(qk[..., m:], -1, -2)
+    if bias is not None:
+        e += bias
+    if not np.all(np.isfinite(e)):
+        raise NumericalOverflowError("non-finite attention logits")
+    e -= np.max(e, axis=-1, keepdims=True)
+    return np.exp(e, out=e)
+
+
+def _logit_exp_vjp_qk(ct, e, qk, *bias):
+    # one dl serves both halves of the pack: [dl k, dl^T q]
+    m = np.shape(ad.value_of(qk))[-1] // 2
+    dl = ad.mul(ct, e)
+    q, k = ad.take(qk, (..., slice(0, m))), ad.take(qk, (..., slice(m, None)))
+    return ad.concat([ad.matmul(dl, k), ad.matmul(_swap_last(dl), q)], axis=-1)
+
+
+def _logit_exp_vjp_bias(ct, e, qk, bias):
+    return ad.sum_to(ad.mul(ct, e), np.shape(ad.value_of(bias)))
+
+
+def logit_exp(qk, bias=None):
+    """Row-shifted exponentials exp(q k^T + bias - rowmax) of packed factors.
+
+    ``qk`` (..., G, 2m) holds the query factors q in its first m columns
+    and the key factors k in its last m; ``bias`` broadcasts to the
+    logits' shape (..., G, G). The logits, the bias add, the shift by
+    their (detached) row maximum and the exponential share one buffer.
+    Raises NumericalOverflowError when a logit is not finite.
+    """
+    args = (qk,) if bias is None else (qk, bias)
+    return ad.apply("logit_exp", _logit_exp, (_logit_exp_vjp_qk, _logit_exp_vjp_bias)[:len(args)], *args)
+
+
+def _pool_softmax(e, w):
+    den = e @ w[:, None]  # (..., G, 1)
+    c = (w / FOUR_PI)[:, None] / den
+    return ((np.swapaxes(c, -1, -2) @ e) * w)[..., 0, :]
+
+
+def _pool_softmax_vjp(ct, e, w):
+    # de(g, g') = c_g u_g' - c_g (s_g / den_g) w_g', written as one rank-2
+    # product: a batched (G, 2) @ (2, G) matmul writes the (G, G) block
+    # once, where broadcasting would take three passes over it
+    lead, g = np.shape(ad.value_of(e))[:-2], len(w)
+    den = ad.matmul(e, w[:, None])
+    c = ad.div((w / FOUR_PI)[:, None], den)
+    u = ad.reshape(ad.mul(ct, w), lead + (1, g))
+    s = ad.matmul(e, _swap_last(u))
+    left = ad.concat([c, ad.neg(ad.div(ad.mul(c, s), den))], axis=-1)
+    right = ad.concat([u, np.broadcast_to(w, lead + (1, g))], axis=-2)
+    return ad.matmul(left, right)
+
+
+def pool_softmax(e, w):
+    """Quadrature-pooled softmax of the exponentials ``e`` (..., G, G): (..., G).
+
+    pi(g') = w_g' sum_g c_g e(g, g') with den_g = sum_g' e(g, g') w_g' and
+    c_g = (w_g / 4 pi) / den_g, for quadrature weights ``w`` (G,).
+    """
+    return ad.apply("pool_softmax", lambda e: _pool_softmax(e, w),
+                    (lambda ct, out, e: _pool_softmax_vjp(ct, e, w),), e)
+
+
+def _broadcast_lead(x, lead):
+    shape = np.shape(ad.value_of(x))
+    return x if shape[:-2] == lead else ad.broadcast_to(x, lead + shape[-2:])
+
+
 def spherical_attention(q, k, grid: SphericalGrid, bias=None):
     """Quadrature-pooled attention distribution over the grid: (..., G).
 
     With logits l(g, g') = q_g.k_g' (+ bias) for factors q, k (..., G, m)
-    and a bias broadcastable to (..., G, G), returns
+    whose leading axes broadcast, and a bias broadcastable to (..., G, G),
+    returns
 
         pi(g') = sum_g (w_g / 4 pi) exp(l(g, g')) w_g' / sum_g'' exp(l(g, g'')) w_g''
 
@@ -170,18 +263,9 @@ def spherical_attention(q, k, grid: SphericalGrid, bias=None):
     """
     if np.shape(ad.value_of(k))[-2] != grid.n_points:
         raise ValueError("keys do not match the grid size")
-    logits = ad.matmul(q, _swap_last(k))
-    if bias is not None:
-        logits = ad.add(logits, bias)
-    logits_val = ad.value_of(logits)
-    if not np.all(np.isfinite(logits_val)):
-        raise NumericalOverflowError("non-finite attention logits")
-    e = ad.exp(ad.sub(logits, np.max(logits_val, axis=-1, keepdims=True)))
-    w = grid.weights
-    den = ad.matmul(e, w[:, None])  # (..., G, 1)
-    coef = ad.div((w / FOUR_PI)[:, None], den)
-    pi = ad.mul(ad.matmul(_swap_last(coef), e), w)  # (..., 1, G)
-    return ad.reshape(pi, np.shape(ad.value_of(pi))[:-2] + (grid.n_points,))
+    lead = np.broadcast_shapes(np.shape(ad.value_of(q))[:-2], np.shape(ad.value_of(k))[:-2])
+    qk = ad.concat([_broadcast_lead(q, lead), _broadcast_lead(k, lead)], axis=-1)
+    return pool_softmax(logit_exp(qk, bias), grid.weights)
 
 
 def pool_attention(pi, v):

@@ -162,8 +162,8 @@ def value_of(x):
     return x.value if type(x) is Node else x
 
 
-def _sum_to(g, shape: tuple[int, ...]):
-    # Reduce a broadcast cotangent back to the parent's shape.
+def sum_to(g, shape: tuple[int, ...]):
+    """Reduce a broadcast cotangent back to the parent's ``shape``."""
     if g.shape == shape:
         return g
     extra = len(g.shape) - len(shape)
@@ -200,20 +200,33 @@ def _binary(name, f, vjp_a, vjp_b):
     return op
 
 
+def apply(name, f, vjps, *args):
+    """``f`` of the arguments' values, recorded as a node when one is a node.
+
+    ``vjps`` holds one VJP per argument, in the form ``Node`` documents;
+    with only plain arrays ``f(*args)`` comes back as it is. This is how a
+    module outside this one defines a primitive of its own.
+    """
+    if not any(type(a) is Node for a in args):
+        return f(*args)
+    args = tuple(as_node(a) for a in args)
+    return Node(f(*(a.value for a in args)), name, args, tuple(vjps))
+
+
 def _logistic(z):
     # evaluated via exp(-|z|) to avoid overflow
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-add = _binary("add", np.add, lambda ct, out, a, b: _sum_to(ct, a.shape),
-              lambda ct, out, a, b: _sum_to(ct, b.shape))
-sub = _binary("sub", np.subtract, lambda ct, out, a, b: _sum_to(ct, a.shape),
-              lambda ct, out, a, b: _sum_to(neg(ct), b.shape))
-mul = _binary("mul", np.multiply, lambda ct, out, a, b: _sum_to(mul(ct, b), a.shape),
-              lambda ct, out, a, b: _sum_to(mul(ct, a), b.shape))
-div = _binary("div", np.divide, lambda ct, out, a, b: _sum_to(div(ct, b), a.shape),
-              lambda ct, out, a, b: _sum_to(neg(div(mul(ct, out), b)), b.shape))
+add = _binary("add", np.add, lambda ct, out, a, b: sum_to(ct, a.shape),
+              lambda ct, out, a, b: sum_to(ct, b.shape))
+sub = _binary("sub", np.subtract, lambda ct, out, a, b: sum_to(ct, a.shape),
+              lambda ct, out, a, b: sum_to(neg(ct), b.shape))
+mul = _binary("mul", np.multiply, lambda ct, out, a, b: sum_to(mul(ct, b), a.shape),
+              lambda ct, out, a, b: sum_to(mul(ct, a), b.shape))
+div = _binary("div", np.divide, lambda ct, out, a, b: sum_to(div(ct, b), a.shape),
+              lambda ct, out, a, b: sum_to(neg(div(mul(ct, out), b)), b.shape))
 neg = _unary("neg", np.negative, lambda ct, out, a: neg(ct))
 exp = _unary("exp", np.exp, lambda ct, out, a: mul(ct, out))
 log = _unary("log", np.log, lambda ct, out, a: div(ct, a))
@@ -290,10 +303,19 @@ def segment_sum(a, segment_ids, num_segments: int, exact: bool = False):
     return Node(val, "segment_sum", (a,), (lambda ct, out, a: take(ct, (ids,)),))
 
 
-_MATMUL_VJP = (
-    lambda ct, out, a, b: _sum_to(matmul(ct, _swap_last(b)), a.shape),
-    lambda ct, out, a, b: _sum_to(matmul(_swap_last(a), ct), b.shape),
-)
+def _matmul_vjp_a(ct, out, a, b):
+    # a contraction of length 1 is an outer product: a broadcasting multiply
+    # forms the same single products, without a batched matmul per pair
+    g = mul(ct, _swap_last(b)) if b.shape[-1] == 1 else matmul(ct, _swap_last(b))
+    return sum_to(g, a.shape)
+
+
+def _matmul_vjp_b(ct, out, a, b):
+    g = mul(_swap_last(a), ct) if a.shape[-2] == 1 else matmul(_swap_last(a), ct)
+    return sum_to(g, b.shape)
+
+
+_MATMUL_VJP = (_matmul_vjp_a, _matmul_vjp_b)
 
 
 def matmul(a, b):
@@ -330,7 +352,7 @@ def broadcast_to(a, shape):
     if type(a) is not Node:
         return np.broadcast_to(a, shape).copy()
     val = np.broadcast_to(a.value, shape).copy()
-    return Node(val, "broadcast", (a,), (lambda ct, out, a: _sum_to(ct, a.shape),))
+    return Node(val, "broadcast", (a,), (lambda ct, out, a: sum_to(ct, a.shape),))
 
 
 def concat(nodes, axis=0):
@@ -357,10 +379,24 @@ def take(a, key):
     return Node(val, "take", (a,), (lambda ct, out, a: scatter_add(a.shape, key, ct),))
 
 
+def _is_basic(key) -> bool:
+    # slices, Ellipsis and Python ints (not bools, not arrays) select each
+    # element of the indexed array at most once
+    return all(k is Ellipsis or type(k) in (slice, int) for k in (key if type(key) is tuple else (key,)))
+
+
 def scatter_add(shape, key, values):
-    """Zeros of ``shape`` with ``values`` added at ``key`` (duplicates accumulate)."""
+    """Zeros of ``shape`` with ``values`` added at ``key`` (duplicates accumulate).
+
+    A basic key hits each element at most once, so a plain in-place add
+    gives the bits of ``np.add.at`` (0.0 + v either way) without its
+    per-element loop.
+    """
     out = np.zeros(shape)
-    np.add.at(out, key, value_of(values))
+    if _is_basic(key):
+        out[key] += value_of(values)
+    else:
+        np.add.at(out, key, value_of(values))
     if type(values) is not Node:
         return out
     return Node(out, "scatter_add", (values,), (lambda ct, out, values: take(ct, key),))
@@ -374,8 +410,8 @@ def where_mask(mask, a, b):
     a, b = as_node(a), as_node(b)
 
     vjps = (
-        lambda ct, out, a, b: _sum_to(where_mask(mask, ct, 0.0), a.shape),
-        lambda ct, out, a, b: _sum_to(where_mask(mask, 0.0, ct), b.shape),
+        lambda ct, out, a, b: sum_to(where_mask(mask, ct, 0.0), a.shape),
+        lambda ct, out, a, b: sum_to(where_mask(mask, 0.0, ct), b.shape),
     )
     return Node(np.where(mask, a.value, b.value), "where", (a, b), vjps)
 

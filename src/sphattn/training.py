@@ -570,6 +570,9 @@ def evaluate(configs, state: bb.ModelState, neighbor_lists=None) -> dict[str, fl
     """Loss-free validation metrics over a list of labeled configurations.
 
     Every metric is computed once over the predictions of the whole list.
+    ``force_q95``, ``force_q99`` and ``force_max`` are the tail of the
+    per-component absolute force errors, by tail_metrics as ``sphattn
+    eval`` reports them.
     """
     if not configs:
         raise ValueError("nothing to evaluate")
@@ -577,11 +580,15 @@ def evaluate(configs, state: bb.ModelState, neighbor_lists=None) -> dict[str, fl
     target = _target_batch(configs)
     de = np.abs(pred.energies - target.energies)
     df = np.abs(pred.forces - target.forces).ravel()
+    tail = tail_metrics(df)
     return {
         "energy_mae": math.fsum(np.sort(de)) / de.size,
         "energy_rmse": math.sqrt(math.fsum(np.sort(de) ** 2) / de.size),
-        "force_mae": math.fsum(np.sort(df)) / df.size,
+        "force_mae": tail["MAE"],
         "force_rmse": math.sqrt(math.fsum(np.sort(df) ** 2) / df.size),
+        "force_q95": tail["Q95"],
+        "force_q99": tail["Q99"],
+        "force_max": tail["MAX"],
         "loss": loss(pred, target),
     }
 

@@ -71,6 +71,84 @@ def test_overflowing_logits_raise():
         attention.spherical_attention(np.full((G, 4), 1e200), np.full((G, 4), 1e200), GRID)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale,bias", [
+    (1.0, np.full((G, G), np.inf)),  # the bias alone is not finite
+    (1e153, np.full((G, G), 1.79e308)),  # finite q.k and bias whose sum overflows
+])
+def test_logits_made_non_finite_by_the_bias_raise(scale, bias):
+    with pytest.raises(attention.NumericalOverflowError):
+        attention.spherical_attention(np.full((G, 4), scale), np.full((G, 4), scale), GRID, bias)
+
+
+SMALL = geometry.build_equiangular_grid(2, 4)
+ATTENTION_CASES = [(heads, bias, lead) for heads in (1, 2) for bias in (True, False) for lead in ("edges", "per_point")]
+
+
+def _attention_case(rng, heads, with_bias, lead, m=3):
+    """Random q, k[, bias] and a linear functional c of pi for spherical_attention.
+
+    ``lead`` "edges" gives both factors the leading axes (E, H) of the
+    model; "per_point" gives conftest.per_point_attention's shapes, q
+    (G, H, G, m) against keys (H, G, m) shared by every row.
+    """
+    g = SMALL.n_points
+    q_shape, k_shape = ((2, heads, g, m),) * 2 if lead == "edges" else ((g, heads, g, m), (heads, g, m))
+    args = [rng.normal(size=q_shape), rng.normal(size=k_shape)]
+    if with_bias:
+        args.append(rng.normal(size=(heads, g, g)))
+    c = rng.normal(size=np.broadcast_shapes(q_shape[:-2], k_shape[:-2]) + (g,))
+    return args, c
+
+
+def _functional(c):
+    return lambda q, k, bias=None: ad.sum_(ad.mul(attention.spherical_attention(q, k, SMALL, bias), c))
+
+
+@pytest.mark.parametrize("heads,with_bias,lead", ATTENTION_CASES)
+def test_spherical_attention_gradients_match_central_differences(heads, with_bias, lead):
+    # c.pi against q, k and the bias, through logit_exp and pool_softmax,
+    # in both create_graph modes
+    rng = np.random.default_rng(30 + heads)
+    args, c = _attention_case(rng, heads, with_bias, lead)
+    f = _functional(c)
+    leaves = [ad.leaf(a) for a in args]
+    grads = ad.grad(f(*leaves), leaves)
+    plain = ad.grad(f(*leaves), leaves, create_graph=False)
+    for i, (a, g, p) in enumerate(zip(args, grads, plain)):
+        assert g.parents and not p.parents
+        assert np.array_equal(g.value, p.value)  # both modes, bit for bit
+        fd = central_diff(lambda v, i=i: float(f(*args[:i], v, *args[i + 1:])), a)
+        assert np.max(np.abs(g.value - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd))), i
+
+
+@pytest.mark.parametrize("heads,with_bias,lead", ATTENTION_CASES)
+def test_spherical_attention_reverse_over_reverse_matches_central_differences(heads, with_bias, lead):
+    # s = r . d(c.pi)/dq, differentiated again against k and the bias: the
+    # taped VJPs of both primitives are themselves differentiated
+    rng = np.random.default_rng(40 + heads)
+    args, c = _attention_case(rng, heads, with_bias, lead)
+    f = _functional(c)
+    r = rng.normal(size=args[0].shape)
+
+    def s(*xs, create_graph=True):
+        (dq,) = ad.grad(f(*xs), [xs[0]], create_graph=create_graph)
+        return ad.sum_(ad.mul(dq, r))
+
+    leaves = [ad.leaf(a) for a in args]
+    grads = ad.grad(s(*leaves), leaves[1:])
+    plain = ad.grad(s(*leaves), leaves[1:], create_graph=False)
+    for i, (a, g, p) in enumerate(zip(args[1:], grads, plain), start=1):
+        assert np.array_equal(g.value, p.value)  # both modes, bit for bit
+
+        def of(v, i=i):
+            xs = [ad.leaf(x) for x in args[:i] + [v] + args[i + 1:]]
+            return float(s(*xs, create_graph=False).value)
+
+        fd = central_diff(of, a)
+        assert np.max(np.abs(g.value - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd))), i
+
+
 def test_build_qkv_zero_parameters_give_zero_field():
     rng = np.random.default_rng(4)
     zero = {n: np.zeros_like(v) for n, v in make_params(rng).items()}
@@ -249,7 +327,8 @@ def test_edge_gate_matches_dense_reference(heads, mode, pe, random_gate):
 @pytest.mark.parametrize("heads", (1, 2))
 def test_forward_tape_builds_no_per_grid_point_qkv(heads):
     # the attention is evaluated from d_f-wide factors and a pooled
-    # distribution: no (E, G, d) or (E, H, G, d/H) array is ever taped
+    # distribution: no (E, G, d) or (E, H, G, d/H) array is ever taped,
+    # and of the (E, H, G, G) arrays only the exponentials are
     rng = np.random.default_rng(15)
     while True:
         pos = rng.normal(0.0, 1.2, size=(20, 3))
@@ -266,8 +345,10 @@ def test_forward_tape_builds_no_per_grid_point_qkv(heads):
             seen[n.tid] = n
             stack.extend(n.parents)
     shapes = {n.value.shape for n in seen.values()}
-    assert (372, g, g) in shapes or (372, heads, g, g) in shapes  # the walk does reach the attention
     assert (372, g, d) not in shapes and (372, heads, g, d // heads) not in shapes
+    # the exponentials are the one (E, H, G, G) array each layer tapes
+    blocks = [n.op for n in seen.values() if n.value.shape == (372, heads, g, g)]
+    assert blocks == ["logit_exp"] * model.config["layers"]
 
 
 def test_gate_deviation_shrinks_with_grid_refinement():

@@ -91,6 +91,42 @@ def test_gather_scatter_match_fd():
     _gradcheck(lambda v: ad.sum_(ad.mul(ad.scatter_add((7, 3), (idx + 1,), ad.take(v, (first4,))), 1.5)), x)
 
 
+def test_scatter_add_basic_keys_match_add_at_bitwise():
+    # a basic key takes an in-place add instead of np.add.at; the bits,
+    # signed zeros included, are those of np.add.at into zeros
+    shape = (4, 5, 6)
+    keys = [(Ellipsis, slice(1, 4)), (slice(None), 2), (1,), 3, (Ellipsis, 0),
+            (slice(0, 4, 2), Ellipsis, slice(None, None, -1)), ()]
+    for key in keys:
+        vals = rng.normal(size=np.zeros(shape)[key].shape)
+        vals.flat[::3] = 0.0
+        vals.flat[1::3] = -0.0
+        ref = np.zeros(shape)
+        np.add.at(ref, key, vals)
+        got = ad.scatter_add(shape, key, vals)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref)), key
+    # an integer-array key still accumulates its duplicates
+    got = ad.scatter_add((3,), (np.array([1, 1, 2]),), np.array([1.0, 2.0, 4.0]))
+    assert np.array_equal(got, [0.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((3, 4, 1), (3, 1, 5)), ((4, 1), (2, 1, 5)), ((2, 1, 4), (4, 3)), ((5, 4), (4, 1)), ((1, 3), (3, 1)),
+])
+def test_outer_product_matmul_vjps_match_matmul_bitwise(a_shape, b_shape):
+    # a contraction of length 1 is formed by a broadcasting multiply; a
+    # single product has the bits of the matmul it replaces
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    ct = rng.normal(size=np.shape(a @ b))
+    swap = lambda x: np.swapaxes(x, -1, -2)
+    expect = (ad.sum_to(ct @ swap(b), a_shape), ad.sum_to(swap(a) @ ct, b_shape))
+    for create_graph in (False, True):
+        la, lb = ad.leaf(a), ad.leaf(b)
+        grads = ad.grad(ad.sum_(ad.mul(ad.matmul(la, lb), ct)), [la, lb], create_graph=create_graph)
+        for g, e in zip(grads, expect):
+            assert np.array_equal(g.value, e)
+
+
 def test_norm_matches_fd_away_from_zero():
     x = rng.normal(size=(4, 3)) + 0.5
     _gradcheck(lambda v: ad.sum_(ad.norm(v, axis=-1)), x)

@@ -222,7 +222,8 @@ def test_train_writes_checkpoint_history_manifest(morse_checkpoint):
     assert names == {"checkpoint.json", "history.csv", "log.jsonl", "manifest.json"}
     header, rows = read_csv(out / "history.csv")
     assert header == ["step", "split", "metric", "value"]
-    assert any(r[2] == "force_mae" for r in rows)
+    logged = {r[2] for r in rows if r[1] == "valid"}
+    assert {"force_mae", "force_q95", "force_q99", "force_max"} <= logged
     state, meta = tr.load_checkpoint(str(morse_checkpoint))
     assert meta["data"] == "synth:morse"
     assert meta["grad_strategy"]

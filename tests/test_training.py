@@ -470,6 +470,21 @@ def test_reference_energy_calibration():
         tr.init_reference_energies(model, [])
 
 
+def test_evaluate_reports_the_force_error_tail():
+    # the high-error events at each validation point: the same per-component
+    # force errors that ``sphattn eval`` summarizes, through tail_metrics
+    ds = tr.synth_dataset("trimer", 60, seed=12)
+    model = tiny_model(ds, seed=3, random_gate=True)
+    valid = ds.split("valid")
+    metrics = tr.evaluate(valid, model)
+    pred = tr.predict(valid, model)
+    errors = np.abs(pred.forces - np.concatenate([c.forces for c in valid])).ravel()
+    tail = tr.tail_metrics(errors)
+    assert (metrics["force_q95"], metrics["force_q99"], metrics["force_max"]) == (tail["Q95"], tail["Q99"], tail["MAX"])
+    assert metrics["force_mae"] == tail["MAE"]
+    assert metrics["force_mae"] < metrics["force_q95"] <= metrics["force_q99"] <= metrics["force_max"]
+
+
 def test_evaluate_rejects_empty():
     ds = tr.synth_dataset("morse", 10, seed=9)
     with pytest.raises(ValueError):
