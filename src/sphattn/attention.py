@@ -23,10 +23,9 @@ softmax over g', so only
 
 is kept: two factors 2 d_f wide (d_f without the positional rows, where
 only F_g W_qf^T W_kf F_g' + (W_kf^T A).F_g' is left), one per-edge row r
-and one (G, G) bias shared by every edge. C enters only through q_g.C,
-which does not depend on g', so ``wk_node`` drops out of the model: it
-is kept in the parameter table, but nothing reads it and its gradient
-is exactly zero.
+and one (G, G) bias shared by every edge. C = W_k h_j enters only through
+q_g.C, which does not depend on g', so it cancels whatever W_k is: the
+layer has no key node projection at all.
 
 *Values.* Pooling commutes with the value sum, so the softmax is reduced
 to one distribution per edge and head, pi_g' = sum_g (w_g/4 pi)
@@ -80,7 +79,7 @@ GATE_ACTIVATIONS = ("logistic", "sinusoidal")
 # the learned arrays of one layer; the backbone stores each as
 # "layer{t}.attn.<name>", and every function here that takes ``p`` reads
 # one layer's arrays (or nodes) from a mapping keyed by these names
-PROJECTION_NAMES = ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field")
+PROJECTION_NAMES = ("wq_node", "wv_node", "wq_field", "wk_field", "wv_field")
 PARAM_NAMES = PROJECTION_NAMES + ("pos", "gate_w", "gate_b")
 
 
@@ -100,15 +99,24 @@ def init_params(
     ``random_gate`` draws it like a projection instead, useful when a
     constant gate would make a rotation sweep vacuous.
 
-    ``wk_node`` is drawn but mathematically inert: the key's node term is
-    constant along the softmax axis and cancels (see the module
-    docstring). It stays so that checkpoints and the draws of every later
-    array keep their layout.
+    A key node projection is still drawn between ``wq_node`` and
+    ``wv_node`` and thrown away: the key's node term cancels in the
+    softmax (see the module docstring), and the draw keeps every later
+    array, and every model seeded before the projection was dropped,
+    on the same bits.
+
+    ``pos`` is drawn and returned even when the model runs without
+    positional encoding, where nothing reads it. The set of keys then
+    does not depend on the config, so the backbone's per-layer mapping,
+    the fresh model a checkpoint is checked against,
+    ``backbone.with_grid`` and the frozen-projection contract need no
+    branch on that flag.
     """
     bh, bf = 1.0 / np.sqrt(d_h), 1.0 / np.sqrt(d_f)
     u = lambda b, shape: rng.uniform(-b, b, size=shape)
-    p = {n: u(bh, (d, d_h)) for n in PROJECTION_NAMES[:3]}
-    p.update((n, u(bf, (d, d_f))) for n in PROJECTION_NAMES[3:])
+    p = {n: u(bh, (d, d_h)) for n in ("wq_node", "wk_node", "wv_node")}
+    del p["wk_node"]
+    p.update((n, u(bf, (d, d_f))) for n in PROJECTION_NAMES[2:])
     p["pos"] = rng.normal(0.0, 0.02, size=(n_grid, d))
     p["gate_w"] = u(1.0 / np.sqrt(d), d) if random_gate else np.zeros(d)
     p["gate_b"] = np.asarray(rng.normal(0.0, 0.5)) if random_gate else np.zeros(())

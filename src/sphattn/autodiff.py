@@ -110,38 +110,6 @@ class Node:
     def __repr__(self):
         return f"Node({self.op}, shape={self.value.shape}, tid={self.tid})"
 
-    # arithmetic sugar; scalars and arrays are lifted to constants
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def leaf(value) -> Node:
     """Wrap an array as a differentiable input."""
@@ -229,11 +197,8 @@ div = _binary("div", np.divide, lambda ct, out, a, b: sum_to(div(ct, b), a.shape
               lambda ct, out, a, b: sum_to(neg(div(mul(ct, out), b)), b.shape))
 neg = _unary("neg", np.negative, lambda ct, out, a: neg(ct))
 exp = _unary("exp", np.exp, lambda ct, out, a: mul(ct, out))
-log = _unary("log", np.log, lambda ct, out, a: div(ct, a))
-sqrt = _unary("sqrt", np.sqrt, lambda ct, out, a: div(ct, mul(2.0, out)))
 sin = _unary("sin", np.sin, lambda ct, out, a: mul(ct, cos(a)))
 cos = _unary("cos", np.cos, lambda ct, out, a: neg(mul(ct, sin(a))))
-tanh = _unary("tanh", np.tanh, lambda ct, out, a: mul(ct, sub(1.0, mul(out, out))))
 sigmoid = _unary("sigmoid", _logistic, lambda ct, out, a: mul(ct, mul(out, sub(1.0, out))))
 
 

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import backbone as bb
 from .geometry import neighbor_list
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 GRAD_STRATEGY = "taped reverse-over-reverse"
 
 SYMBOL_OF_Z = {
@@ -62,7 +62,6 @@ class Dataset:
 
     samples: list
     splits: dict[str, np.ndarray] = dc_field(default_factory=dict)
-    provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.samples)
@@ -100,7 +99,7 @@ def split_dataset(ds: Dataset, train: float = 0.8, valid: float = 0.1, seed: int
         "valid": order[n_train : n_train + n_valid],
         "test": order[n_train + n_valid :],
     }
-    return Dataset(ds.samples, splits, dict(ds.provenance))
+    return Dataset(ds.samples, splits)
 
 
 # -------------------------------------------------------- synthetic potentials
@@ -200,8 +199,7 @@ def synth_dataset(potential: str, n: int, seed: int = 0, noise_t: float = 1.0) -
                 species=np.full(len(pos), SYNTH_Z), positions=pos, energy=e, forces=f
             )
         )
-    ds = Dataset(samples, provenance={"potential": potential, "n": n, "seed": seed, "noise_t": noise_t})
-    return split_dataset(ds, seed=seed + 1)
+    return split_dataset(Dataset(samples), seed=seed + 1)
 
 
 def _random_unit(rng) -> np.ndarray:
@@ -444,35 +442,72 @@ def _check_keys(kind: str, found, expected) -> None:
         raise ValueError(f"checkpoint {kind} {odd[0]!r} is {'unknown' if odd[0] in found else 'missing'}")
 
 
+def _check_config(config: dict) -> None:
+    """Raise a ValueError naming the first unknown, missing or ill-typed config key.
+
+    A value must have the JSON type of its default, where a float takes
+    an int too; the grid is a list of two ints, the species a list of
+    ints, the seed an int, and a null envelope_p means no envelope.
+    """
+    _check_keys("config key", config, [*bb.DEFAULT_CONFIG, "species", "seed"])
+    for key, value in config.items():
+        if key in ("grid", "species"):
+            ok = (isinstance(value, list) and all(type(v) is int for v in value)
+                  and (key == "species" or len(value) == 2))
+        else:
+            default = bb.DEFAULT_CONFIG.get(key, 0)
+            kinds = (int, float) if type(default) is float else (type(default),)
+            ok = type(value) in kinds or (key == "envelope_p" and value is None)
+        if not ok:
+            raise ValueError(f"checkpoint config key {key!r} has the bad value {value!r}")
+
+
 def load_checkpoint(path: str):
     """ModelState plus stored metadata; parameter values are bit-exact.
 
     The checkpoint is checked against a freshly built model of its own
-    config: an unknown or missing config key, a missing or extra
-    parameter, a wrong shape or a non-finite value raises a ValueError
-    that names the key.
+    config: a document that is not an object with config and params
+    objects, an unknown, missing or ill-typed config key, a missing or
+    extra parameter, a parameter without shape or numeric data, a wrong
+    shape or a non-finite value raises a ValueError that names the key.
+
+    Format 1 also stored each layer's key node projection
+    ``layer{t}.attn.wk_node``, which cancels in the attention softmax
+    (see ``attention``). It is checked like a parameter of the shape of
+    ``wq_node`` and then dropped, so a format-1 file loads to the model
+    that saved it.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    config = dict(doc["config"])
-    _check_keys("config key", config, [*bb.DEFAULT_CONFIG, "species", "seed"])
-    config["grid"] = tuple(config["grid"])
-    skeleton = bb.new_model(
-        config["species"], seed=config["seed"], **{k: config[k] for k in bb.DEFAULT_CONFIG}
-    ).params
-    _check_keys("parameter", doc["params"], skeleton)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    version = doc.get("format_version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    for part in ("config", "params"):
+        if not isinstance(doc.get(part), dict):
+            raise ValueError(f"checkpoint {part!r} is missing or not an object")
+    config = doc["config"]
+    _check_config(config)
+    model = bb.new_model(config["species"], seed=config["seed"], **{k: config[k] for k in bb.DEFAULT_CONFIG})
+    # format 1's key node projections have the shape of the query's
+    wk_node = {f"layer{t}.attn.wk_node": model.params[f"layer{t}.attn.wq_node"] for t in range(config["layers"])}
+    expected = {**model.params, **(wk_node if version == 1 else {})}
+    _check_keys("parameter", doc["params"], expected)
     params = {}
     for key, spec in doc["params"].items():
-        value = np.asarray(spec["data"], dtype=float)
-        shape = skeleton[key].shape
-        if tuple(spec["shape"]) != shape or value.size != skeleton[key].size:
+        shape = expected[key].shape
+        try:
+            value = np.asarray(spec["data"], dtype=float)
+            fits = spec["shape"] == list(shape) and value.size == expected[key].size
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"checkpoint parameter {key!r} needs a shape and numeric data") from None
+        if not fits:
             raise ValueError(f"checkpoint parameter {key!r} has shape {spec['shape']}, expected {list(shape)}")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"non-finite values in checkpoint parameter {key!r}")
         params[key] = value.reshape(shape)
-    return bb.ModelState(config, params), doc.get("metadata", {})
+    return bb.ModelState(model.config, {k: params[k] for k in model.params}), doc.get("metadata", {})
 
 
 # -------------------------------------------------------------------- training
@@ -625,7 +660,7 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
                 raise ValueError(f"{name} split: frame {i} has no {missing} label")
 
     state = model.copy()
-    # learnable=False freezes every layer's six attention projections
+    # learnable=False freezes every layer's five attention projections
     learnable = state.config.get("learnable", True)
     trainable = [
         k for k in sorted(state.params)

@@ -22,6 +22,7 @@ import pytest
 
 import _verdicts
 from conftest import per_point_attention
+from sphattn import attention
 from sphattn import backbone as bb
 from sphattn import field
 from sphattn import geometry as geo
@@ -338,11 +339,7 @@ def test_ablation_contracts():
     frozen = bb.new_model(ds.species_vocabulary(), seed=10, random_gate=True,
                           learnable=False, channels=8, d=8, l_max=0, layers=2)
     tr.init_reference_energies(frozen, ds.split("train"))
-    proj_names = [
-        f"layer{t}.attn.{n}"
-        for t in range(2)
-        for n in ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field")
-    ]
+    proj_names = [f"layer{t}.attn.{n}" for t in range(2) for n in attention.PROJECTION_NAMES]
     before = {n: frozen.params[n].copy() for n in proj_names}
     result = tr.train(ds, frozen, tr.TrainConfig(steps=200, batch_size=8, seed=0, val_every=200))
     for n in proj_names:

@@ -10,7 +10,7 @@ from conftest import central_diff, per_point_attention, random_rotation, relativ
 
 GRID = geometry.build_equiangular_grid(4, 8)
 G = GRID.n_points
-PARAM_NAMES = ("wq_node", "wk_node", "wv_node", "wq_field", "wk_field", "wv_field", "pos", "gate_w", "gate_b")
+PARAM_NAMES = ("wq_node", "wv_node", "wq_field", "wk_field", "wv_field", "pos", "gate_w", "gate_b")
 CONFIG = bb.DEFAULT_CONFIG  # scalar field, one head, positional encoding, logistic gate
 
 
@@ -253,8 +253,6 @@ def test_symmetric_dimer_gates_are_equal():
 
 
 def test_gradients_through_edge_gates_match_fd():
-    # wk_node is inert: the key's node term is constant along the softmax
-    # axis, so the gate never reads it and its gradient is exactly zero
     rng = np.random.default_rng(11)
     pos = rng.uniform(-1.2, 1.2, size=(3, 3))
     feats0 = rng.normal(size=(3, 4))
@@ -274,20 +272,22 @@ def test_gradients_through_edge_gates_match_fd():
             return float(build(vals))
 
         fd = central_diff(f, base[name], step=1e-5)
-        if name == "wk_node":
-            assert np.all(g.value == 0.0) and np.all(fd == 0.0)
-        else:
-            assert relative_close(g.value, fd, 1e-5, floor=1e-10) >= 0.95, name
+        assert relative_close(g.value, fd, 1e-5, floor=1e-10) >= 0.95, name
 
 
-def dense_edge_gate(ff, h_i, h_j, grid, p, config):
-    """Reference gate and pooled vector with q, k and v built at every grid point."""
+def dense_edge_gate(ff, h_i, h_j, grid, p, config, wk_node):
+    """Reference gate and pooled vector with q, k and v built at every grid point.
+
+    The key carries a node term W_k h_j for a (d, d_h) projection ``wk_node``
+    that the layer has no parameter for: the term is constant along the
+    softmax axis, so any choice of it must give the layer's result.
+    """
     d = p["wq_node"].shape[0]
     heads = config["heads"]
     dh = d // heads
     pos = p["pos"] if config["positional_encoding"] else 0.0
     q = (h_i @ p["wq_node"].T)[:, None, :] + ff @ p["wq_field"].T + pos  # (E, G, d)
-    k = (h_j @ p["wk_node"].T)[:, None, :] + ff @ p["wk_field"].T + pos
+    k = (h_j @ wk_node.T)[:, None, :] + ff @ p["wk_field"].T + pos
     v = (h_j @ p["wv_node"].T)[:, None, :] + ff @ p["wv_field"].T + pos
     split = lambda x: x.reshape(len(x), grid.n_points, heads, dh).transpose(0, 2, 1, 3)  # (E, H, G, dh)
     logits = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(dh)
@@ -317,7 +317,8 @@ def test_edge_gate_matches_dense_reference(heads, mode, pe, random_gate):
     recv, send = nl.edges[:, 0], nl.edges[:, 1]
     ff = field.field_features(*field.grid_field(pos[recv], pos[send], GRID), mode)
     alpha, pooled = attention.edge_gate(ff, h[recv], h[send], GRID, p, model.config)
-    ref_alpha, ref_pooled = dense_edge_gate(ff, h[recv], h[send], GRID, p, model.config)
+    wk_node = rng.uniform(-1.0, 1.0, size=p["wq_node"].shape)
+    ref_alpha, ref_pooled = dense_edge_gate(ff, h[recv], h[send], GRID, p, model.config, wk_node)
     assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12 * np.max(np.abs(ref_alpha))
     assert np.max(np.abs(pooled - ref_pooled)) <= 1e-12 * np.max(np.abs(ref_pooled))
     if not random_gate:
@@ -379,13 +380,13 @@ def test_gate_deviation_shrinks_with_grid_refinement():
 def test_gate_pipeline_tapes_whenever_one_parameter_is_a_leaf(name):
     # every input but one parameter is a plain array: the gate must still
     # come back as a node that depends on that parameter; with no leaf at
-    # all, or with only the inert wk_node, it is a plain array
+    # all it is a plain array
     rng = np.random.default_rng(13)
     base = make_params(rng, random_gate=True)
     leaf = None if name is None else ad.leaf(base[name])
     p = {**base, **({} if name is None else {name: leaf})}
     alpha = _gate(*edge_inputs(rng), p)
-    if name in (None, "wk_node"):
+    if name is None:
         assert type(alpha) is np.ndarray and alpha.shape == (3,)
         return
     assert isinstance(alpha, ad.Node)

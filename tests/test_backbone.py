@@ -457,10 +457,9 @@ def test_batch_graph_with_parameter_leaves_reaches_all_trainables():
     grads = ad.grad(loss, [pnodes[k] for k in names], allow_unused=True)
     got = {k: g.value for k, g in zip(names, grads)}
     # higher-order mixing matrices only touch non-scalar blocks, which the
-    # scalar readout never consumes, and the key's node projection cancels
-    # in the attention softmax; everything else must receive signal
+    # scalar readout never consumes; everything else must receive signal
     for k, g in got.items():
-        if ".mix1" in k or ".mix2" in k or k.endswith(".wk_node"):
+        if ".mix1" in k or ".mix2" in k:
             assert np.all(g == 0.0), k
         else:
             assert np.any(g != 0.0), k

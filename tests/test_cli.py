@@ -205,10 +205,13 @@ def test_threads_flag_pins_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same tree as this suite, with or without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sphattn.cli", "--threads", "1",
          "grid", "--ntheta", "1", "--nphi", "2"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("index,theta,phi")
@@ -598,6 +601,10 @@ def _drop_config_key(doc):
     del doc["config"]["gating"]
 
 
+def _int_grid(doc):
+    doc["config"]["grid"] = 4
+
+
 @pytest.mark.parametrize("command", ["md", "eval"])
 @pytest.mark.parametrize("fault, key", [
     (_drop_readout, "readout"),
@@ -606,7 +613,9 @@ def _drop_config_key(doc):
     (_nan_embed, "embed"),
     (_unknown_config, "colour"),
     (_drop_config_key, "gating"),
-], ids=["missing-param", "extra-param", "wrong-shape", "non-finite", "unknown-config-key", "missing-config-key"])
+    (_int_grid, "grid"),
+], ids=["missing-param", "extra-param", "wrong-shape", "non-finite", "unknown-config-key", "missing-config-key",
+        "ill-typed-config-key"])
 def test_bad_checkpoint_exits_two_naming_the_key(morse_checkpoint, tmp_path, capsys, command, fault, key):
     doc = json.loads(morse_checkpoint.read_text())
     fault(doc)

@@ -1,7 +1,9 @@
 """Training-stack tests: synthetic labels, parser, loss, metrics, optimizer."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +333,7 @@ def test_checkpoint_round_trip_is_value_exact(tmp_path):
     model = tiny_model(ds, seed=9)
     path = tmp_path / "model.json"
     tr.save_checkpoint(model, path, metadata={"note": "fresh"})
+    assert json.loads(path.read_text())["format_version"] == tr.CHECKPOINT_VERSION == 2
     loaded, meta = tr.load_checkpoint(path)
     assert loaded.config == model.config
     assert isinstance(loaded.config["grid"], tuple)
@@ -346,9 +349,88 @@ def test_checkpoint_version_guard(tmp_path):
     ds = tr.synth_dataset("morse", 10, seed=5)
     path = tmp_path / "model.json"
     text = tr.checkpoint_text(tiny_model(ds))
-    path.write_text(text.replace('"format_version": 1', '"format_version": 99'))
+    path.write_text(text.replace('"format_version": 2', '"format_version": 99'))
     with pytest.raises(ValueError, match="version"):
         tr.load_checkpoint(path)
+
+
+# written by save_checkpoint at format 1, which also stored each layer's
+# key node projection, from the model that format1_model builds
+FORMAT1 = Path(__file__).parent / "data" / "checkpoint_format1.json"
+
+
+def format1_model():
+    return bb.new_model([6], seed=4, random_gate=True, channels=4, d=4, grid=(2, 4), layers=1)
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_format1_checkpoint_loads_to_a_fresh_model_without_wk_node():
+    # the dropped projection is still drawn, so every table keeps its bits
+    loaded, meta = tr.load_checkpoint(FORMAT1)
+    fresh = format1_model()
+    assert loaded.config == fresh.config
+    assert list(loaded.params) == list(fresh.params)
+    for k, v in fresh.params.items():
+        assert np.array_equal(loaded.params[k], v), k
+    assert meta["note"] == "format-1 fixture"
+
+
+def _wk_node_shape(spec):
+    spec["shape"], spec["data"] = [2, 8], spec["data"][:16]
+
+
+def _wk_node_nan(spec):
+    spec["data"][3] = math.nan
+
+
+@pytest.mark.parametrize("fault", [_wk_node_shape, _wk_node_nan, None], ids=["shape", "nan", "missing"])
+def test_format1_wk_node_is_checked_before_it_is_dropped(tmp_path, fault):
+    doc = json.loads(FORMAT1.read_text())
+    if fault is None:
+        del doc["params"]["layer0.attn.wk_node"]
+    else:
+        fault(doc["params"]["layer0.attn.wk_node"])
+    with pytest.raises(ValueError, match="'layer0.attn.wk_node'"):
+        tr.load_checkpoint(_write(tmp_path, doc))
+
+
+def test_current_format_rejects_wk_node(tmp_path):
+    doc = json.loads(FORMAT1.read_text())
+    doc["format_version"] = tr.CHECKPOINT_VERSION
+    with pytest.raises(ValueError, match="'layer0.attn.wk_node' is unknown"):
+        tr.load_checkpoint(_write(tmp_path, doc))
+
+
+def _no_data(doc):
+    del doc["params"]["embed"]["data"]
+
+
+def _int_grid(doc):
+    doc["config"]["grid"] = 4
+
+
+def _text_channels(doc):
+    doc["config"]["channels"] = "x"
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"format_version": 1}, "'config'"),
+    ([1, 2], "not a JSON object"),
+    (_no_data, "'embed'"),
+    (_int_grid, "'grid'"),
+    (_text_channels, "'channels'"),
+], ids=["no-config", "list", "spec-without-data", "int-grid", "text-channels"])
+def test_malformed_checkpoint_is_a_value_error_naming_the_key(tmp_path, doc, key):
+    if callable(doc):
+        fault, doc = doc, json.loads(tr.checkpoint_text(format1_model()))
+        fault(doc)
+    with pytest.raises(ValueError, match=key):
+        tr.load_checkpoint(_write(tmp_path, doc))
 
 
 # -------------------------------------------------------------------- training
