@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import attention as attn_mod
 from . import field as field_mod
-from .geometry import NeighborList, build_equiangular_grid, neighbor_list
+from .geometry import L_MAX_SUPPORTED, NeighborList, build_equiangular_grid, neighbor_list
 # bound under a second name because perfbench/workloads.py wraps
 # backbone.taped_harmonics to time it under --trace 1; the rename waits
 # for the next change to the benchmark (ROADMAP item 4)
@@ -129,6 +129,13 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
     config["species"] = species_vocab(species)
     config["grid"] = tuple(config["grid"])
     config["seed"] = int(seed)
+    for key in ("d", "channels", "n_bessel"):
+        if config[key] < 1:
+            raise ValueError(f"model config key {key!r} must be at least 1, got {config[key]}")
+    if config["layers"] < 0:
+        raise ValueError(f"model config key 'layers' must be non-negative, got {config['layers']}")
+    if not 0 <= config["l_max"] <= L_MAX_SUPPORTED:
+        raise ValueError(f"model config key 'l_max' must be in [0, {L_MAX_SUPPORTED}], got {config['l_max']}")
     if config["heads"] < 1 or config["d"] % config["heads"]:
         raise ValueError("heads must divide the attention width d")
     if config["gate_activation"] not in attn_mod.GATE_ACTIVATIONS:

@@ -1,13 +1,15 @@
 """Command-line surface: grids, equivariance reports, training, dynamics, maps.
 
 Every subcommand that takes --out writes its artifacts there together
-with a manifest.json recording the command, the resolved configuration,
-the seed, the artifact names, and the environment: the numpy version,
-the five BLAS thread variables (null when unset) and whether freed
-memory is kept in the process (``autodiff.HEAP_RETAINED``). Rerunning
-with the same inputs reproduces every artifact byte for byte; the
-manifest's timestamps are the single exception. Commands that run a
-model also record its config (and, for --random-model, --random-gate).
+with a manifest.json recording the command, every option of the
+subcommand as parsed (--seed included, --out and --config aside), the
+artifact names, the wall time from the start of main() (``wall_s``) and
+the environment: the numpy version, the five BLAS thread variables (null
+when unset) and whether freed memory is kept in the process
+(``autodiff.HEAP_RETAINED``). Commands that run or train a model also
+record its full config as ``model_config``. Rerunning with the same
+inputs reproduces every artifact byte for byte; the manifest's
+timestamps and wall time are the single exception.
 
 Each option is declared once, on its argparse flag, with its type,
 choices and default. Values resolve as flag > config file > default:
@@ -66,10 +68,10 @@ def _set_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
-def _required(args, key: str, flag: str | None = None):
+def _required(args, key: str):
     val = getattr(args, key)
     if val is None:
-        raise CommandError(f"missing required option {flag or '--' + key.replace('_', '-')}")
+        raise CommandError(f"missing required option {args.option_flags[key]}")
     return val
 
 
@@ -111,12 +113,12 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _emit(out: Path | None, command: str, config: dict, seed, tables: dict[str, tuple],
-          records: list[dict], extra_artifacts: tuple = (), model: dict | None = None) -> None:
+def _emit(out: Path | None, args, tables: dict[str, tuple], records: list[dict],
+          extra_artifacts: tuple = (), model_config: dict | None = None) -> None:
     """Write tables, the log, and the manifest, or dump tables to stdout.
 
-    model holds the manifest fields from _model_fields, for commands that
-    run a model.
+    The manifest's config is every option the subcommand parsed, --out
+    aside (json writes tuples as lists).
     """
     import numpy as np
 
@@ -130,17 +132,18 @@ def _emit(out: Path | None, command: str, config: dict, seed, tables: dict[str, 
         (out / name).write_text(_csv_text(header, rows), newline="")
     (out / "log.jsonl").write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.subcommand,
+        "config": {key: getattr(args, key) for key in args.option_flags if key != "out"},
         "artifacts": sorted([*extra_artifacts, *tables, "log.jsonl", "manifest.json"]),
         "numpy_version": np.__version__,
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "heap_retained": ad.HEAP_RETAINED,
         "created_unix": time.time(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z",
-        **(model or {}),
+        "wall_s": time.perf_counter() - args.started,
     }
+    if model_config is not None:
+        manifest["model_config"] = model_config
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
@@ -207,45 +210,36 @@ def _load_dataset(args, spec: str):
 
 
 def _model_overrides(args, grid_key: str = "grid") -> dict:
-    """The model options set by flag or file; unset ones keep the model's default."""
+    """The model options set by flag or file, by option dest; unset ones keep the model's default."""
     from . import backbone as bb
 
-    values = {**vars(args), "grid": getattr(args, grid_key)}
-    return {key: values[key] for key in bb.DEFAULT_CONFIG if values.get(key) is not None}
+    return {key: getattr(args, key) for key in args.option_flags
+            if key in (*bb.DEFAULT_CONFIG, grid_key) and getattr(args, key) is not None}
 
 
 def _load_model(args, species, grid_key: str = "grid"):
-    """Model from --checkpoint or --random-model, plus a source label."""
+    """Model from --checkpoint or --random-model."""
     from . import backbone as bb
     from . import training as tr
 
     ckpt = args.checkpoint
+    overrides = _model_overrides(args, grid_key)
     if getattr(args, "random_model", False):
         if ckpt:
             raise CommandError("--checkpoint and --random-model are mutually exclusive")
-        overrides = _model_overrides(args, grid_key)
-        state = bb.new_model(
-            species,
-            seed=args.seed,
-            random_gate=args.random_gate,
-            **overrides,
-        )
-        return state, "random-model"
+        return bb.new_model(species, seed=args.seed, random_gate=args.random_gate,
+                            **{("grid" if k == grid_key else k): v for k, v in overrides.items()})
     if ckpt is None:
         raise CommandError("provide --checkpoint or --random-model")
+    stray = [*overrides, *(["random_gate"] if getattr(args, "random_gate", False) else [])]
+    if stray:
+        raise CommandError(f"{', '.join(args.option_flags[k] for k in stray)} only apply "
+                           f"with --random-model; --checkpoint fixes the model")
     try:
         state, _meta = tr.load_checkpoint(ckpt)
     except OSError as exc:
         raise CommandError(f"cannot read checkpoint: {exc}")
-    return state, ckpt
-
-
-def _model_fields(state, args) -> dict:
-    """Manifest fields naming the model a run used (json writes tuples as lists)."""
-    fields = {"model_config": state.config}
-    if getattr(args, "random_model", False):
-        fields["random_gate"] = args.random_gate
-    return fields
+    return state
 
 
 # ------------------------------------------------------------------ commands
@@ -282,8 +276,7 @@ def cmd_grid(args) -> int:
         "ok": ok,
     }
 
-    config = {"ntheta": ntheta, "nphi": nphi}
-    _emit(_out_dir(args), "grid", config, None,
+    _emit(_out_dir(args), args,
           {"grid.csv": (["index", "theta", "phi", "x", "y", "z", "weight"], rows)},
           [report])
     print(f"grid {ntheta}x{nphi}: {grid.n_points} points, "
@@ -304,7 +297,7 @@ def cmd_check_equivariance(args) -> int:
         raise CommandError("need at least one rigid motion")
     translation_only = args.translation_only
     system = _load_system(args.system, seed)
-    state, source = _load_model(args, system.species.tolist())
+    state = _load_model(args, system.species.tolist())
     native = tuple(state.config["grid"])
     grids = args.grids or [native]
 
@@ -376,13 +369,8 @@ def cmd_check_equivariance(args) -> int:
               f"ungated max dev {max(max(ude), max(udf)):.3e} "
               f"{'ok' if grid_ok else 'VIOLATION'}", file=sys.stderr)
 
-    config = {
-        "system": args.system, "model": source,
-        "rotations": rotations, "translation_only": translation_only,
-        "grids": [f"{a}x{b}" for a, b in grids],
-    }
-    _emit(_out_dir(args), "check-equivariance", config, seed,
-          {"equivariance.csv": (header, rows)}, records, model=_model_fields(state, args))
+    _emit(_out_dir(args), args, {"equivariance.csv": (header, rows)}, records,
+          model_config=state.config)
     return 1 if violation else 0
 
 
@@ -399,8 +387,7 @@ def cmd_train(args) -> int:
     if "train" not in ds.splits or "valid" not in ds.splits:
         raise CommandError("dataset needs train and valid splits")
 
-    overrides = _model_overrides(args)
-    state = bb.new_model(ds.species_vocabulary(), seed=seed, **overrides)
+    state = bb.new_model(ds.species_vocabulary(), seed=seed, **_model_overrides(args))
     tr.init_reference_energies(state, ds.split("train"))
 
     tcfg = tr.TrainConfig(
@@ -423,17 +410,8 @@ def cmd_train(args) -> int:
     history_rows = [
         (r["step"], r["split"], r["metric"], r["value"]) for r in result.history
     ]
-    config = {
-        "data": data_spec, "model_overrides": {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in overrides.items()
-        },
-        "steps": tcfg.steps, "batch_size": tcfg.batch_size, "lr": tcfg.lr,
-        "lr_schedule": tcfg.lr_schedule, "lam_e": tcfg.lam_e, "lam_f": tcfg.lam_f,
-        "val_every": tcfg.val_every,
-    }
-    _emit(out, "train", config, seed,
-          {"history.csv": (["step", "split", "metric", "value"], history_rows)},
-          result.history, extra_artifacts=("checkpoint.json",))
+    _emit(out, args, {"history.csv": (["step", "split", "metric", "value"], history_rows)},
+          result.history, extra_artifacts=("checkpoint.json",), model_config=result.state.config)
     status = "DIVERGED" if result.diverged else "done"
     print(f"train {status}: {tcfg.steps} steps, "
           f"valid energy MAE {final['energy_mae']:.6g}, "
@@ -450,15 +428,8 @@ def cmd_md(args) -> int:
     from . import training as tr
 
     system = _load_system(_required(args, "system"), args.seed)
-    state, source = _load_model(args, system.species.tolist())
+    state = _load_model(args, system.species.tolist())
     provider = md_mod.model_force_provider(state, system.species)
-    model = _model_fields(state, args)
-
-    config = {
-        "system": args.system, "model": source, "steps": args.steps,
-        "dt": args.dt, "friction": args.friction, "temp": args.temp,
-        "sample_every": args.sample_every, "rdf_bins": args.rdf_bins, "rdf_rmax": args.rdf_rmax,
-    }
     out = _out_dir(args)
     try:
         traj = md_mod.run(
@@ -468,11 +439,11 @@ def cmd_md(args) -> int:
     except md_mod.SimulationAbortError as exc:
         frame = exc.frame or {}
         print(f"md ABORTED: {exc}", file=sys.stderr)
-        _emit(out, "md", config, args.seed, {}, [{
+        _emit(out, args, {}, [{
             "event": "abort", "message": str(exc),
             "step": frame.get("step"), "time": frame.get("time"),
             "bad_atoms": frame.get("bad_atoms"),
-        }], model=model)
+        }], model_config=state.config)
         return 1
 
     stats_header = ["step", "temperature", "mean_force", "q95_force", "max_force"]
@@ -503,8 +474,8 @@ def cmd_md(args) -> int:
             for i in range(traj.n_frames)
         ]
         (out / "trajectory.extxyz").write_text(tr.write_extxyz(tr.Dataset(samples=frames)))
-        _emit(out, "md", config, args.seed, tables, records,
-              extra_artifacts=("trajectory.extxyz",), model=model)
+        _emit(out, args, tables, records, extra_artifacts=("trajectory.extxyz",),
+              model_config=state.config)
     t_txt = "n/a" if avg_t is None else f"{avg_t:.1f} K"
     peak_txt = "n/a" if peak is None else f"{peak:.3f} A"
     print(f"md done: {args.steps} steps of {args.dt} fs, <T> = {t_txt}, rdf peak at {peak_txt}",
@@ -518,10 +489,9 @@ def cmd_attention_map(args) -> int:
     from . import backbone as bb
     from .field import DegenerateGeometryError
 
-    seed = args.seed
     mode = _required(args, "mode")
-    system = _load_system(_required(args, "system"), seed)
-    state, source = _load_model(args, system.species.tolist(), grid_key="model_grid")
+    system = _load_system(_required(args, "system"), args.seed)
+    state = _load_model(args, system.species.tolist(), grid_key="model_grid")
     layers = state.config["layers"]
     n = system.n_atoms
 
@@ -542,8 +512,8 @@ def cmd_attention_map(args) -> int:
         probe = _required(args, "atom")
         if not 0 <= probe < n:
             raise CommandError(f"--atom must index an atom (0..{n - 1})")
-        p0 = np.array(_required(args, "path_from", "--from"))
-        p1 = np.array(_required(args, "path_to", "--to"))
+        p0 = np.array(_required(args, "path_from"))
+        p1 = np.array(_required(args, "path_to"))
         steps = args.steps
         if steps < 1:
             raise CommandError("need at least one sweep step")
@@ -562,10 +532,6 @@ def cmd_attention_map(args) -> int:
                 alphas, pooled = gate_row(edges, trace, probe, j)
                 dist = float(np.linalg.norm(pos[j] - pos[probe]))
                 rows.append((s, t, j, dist, *alphas, *pooled))
-        config = {
-            "mode": mode, "system": args.system, "model": source,
-            "atom": probe, "from": list(p0), "to": list(p1), "steps": steps,
-        }
     else:  # angular
         center = _required(args, "center")
         probe = _required(args, "probe")
@@ -574,7 +540,7 @@ def cmd_attention_map(args) -> int:
         radius = args.radius
         if radius <= 0:
             raise CommandError("--radius must be positive")
-        m_theta, n_phi = _required(args, "sweep_grid", "--grid")
+        m_theta, n_phi = _required(args, "sweep_grid")
         header = ["theta", "phi", "x", "y", "z"] + alpha_cols + pooled_cols
         for i in range(m_theta):
             theta = (i + 0.5) * (np.pi / 2.0) / m_theta  # upper hemisphere
@@ -590,16 +556,10 @@ def cmd_attention_map(args) -> int:
                 cfg = bb.AtomicConfiguration(species=system.species, positions=pos)
                 alphas, pooled = gate_row(*bb.model_edge_gates(cfg, state), center, probe)
                 rows.append((theta, phi, *pos[probe], *alphas, *pooled))
-        config = {
-            "mode": mode, "system": args.system, "model": source,
-            "center": center, "probe": probe, "radius": radius,
-            "sweep_grid": f"{m_theta}x{n_phi}",
-        }
 
-    _emit(_out_dir(args), "attention-map", config, seed,
-          {"map.csv": (header, rows)},
-          [{"event": "attention-map", "rows": len(rows), **config}],
-          model=_model_fields(state, args))
+    _emit(_out_dir(args), args, {"map.csv": (header, rows)},
+          [{"event": "attention-map", "mode": mode, "rows": len(rows)}],
+          model_config=state.config)
     print(f"attention-map {mode}: {len(rows)} rows", file=sys.stderr)
     return 0
 
@@ -609,10 +569,9 @@ def cmd_eval(args) -> int:
 
     from . import training as tr
 
-    seed = args.seed
     data_spec = _required(args, "data")
     split = args.split
-    state, source = _load_model(args, [])
+    state = _load_model(args, [])
     ds = _load_dataset(args, data_spec)
     if split == "all":
         samples = list(ds.samples)
@@ -646,10 +605,8 @@ def cmd_eval(args) -> int:
         print(f"eval {target}: MAE {metrics['MAE']:.6g}, Q95 {metrics['Q95']:.6g}, "
               f"Q99 {metrics['Q99']:.6g}, MAX {metrics['MAX']:.6g}", file=sys.stderr)
 
-    config = {"data": data_spec, "split": split, "model": source,
-              "n_samples": len(samples)}
-    _emit(_out_dir(args), "eval", config, seed, {"metrics.csv": (header, rows)}, records,
-          model=_model_fields(state, args))
+    _emit(_out_dir(args), args, {"metrics.csv": (header, rows)}, records,
+          model_config=state.config)
     return 0
 
 
@@ -799,13 +756,17 @@ def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.A
     return action.choices
 
 
-def _read_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
-    """The file's values, each converted and checked as its own flag's would be.
+def _own_options(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The subcommand's own options by dest, --help and --config aside.
 
-    A key is the dest of one of the subcommand's own options, --config aside.
+    These are the keys a config file may set and the manifest records.
     """
-    actions = {a.dest: a for a in sub._actions
-               if a.option_strings and a.dest not in ("help", "config")}
+    return {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _read_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The file's values, each converted and checked as its own flag's would be."""
+    actions = _own_options(sub)
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -838,19 +799,24 @@ def parse_args(argv=None) -> argparse.Namespace:
 
     The config file's values become the subcommand parser's defaults, so
     a second parse lets any flag on the command line override them.
+    option_flags maps each of the subcommand's own option dests to its
+    flag.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    sub = _subcommand_parsers(parser)[args.subcommand]
     if args.config is not None:
-        sub = _subcommand_parsers(parser)[args.subcommand]
         sub.set_defaults(**_read_config_file(args.config, sub))
         args = parser.parse_args(argv)
+    args.option_flags = {key: a.option_strings[0] for key, a in _own_options(sub).items()}
     return args
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     try:
         args = parse_args(argv)
+        args.started = started
         if args.threads is not None:
             _set_threads(args.threads)
         return args.handler(args)

@@ -166,7 +166,7 @@ def random_rigid_motion(
     return RigidMotion(r, rng.normal(0.0, translation_scale, size=3))
 
 
-_L_MAX_SUPPORTED = 3
+L_MAX_SUPPORTED = 3
 
 
 def sh_index(l: int, m: int) -> int:
@@ -189,8 +189,8 @@ def real_spherical_harmonics(l_max: int, direction):
         l_max: highest order, 0 <= l_max <= 3.
         direction: (..., 3) unit vectors (checked to 1e-9).
     """
-    if not 0 <= l_max <= _L_MAX_SUPPORTED:
-        raise ValueError(f"l_max must be in [0, {_L_MAX_SUPPORTED}]")
+    if not 0 <= l_max <= L_MAX_SUPPORTED:
+        raise ValueError(f"l_max must be in [0, {L_MAX_SUPPORTED}]")
     if not isinstance(direction, ad.Node):
         direction = np.asarray(direction, dtype=float)
     d = ad.value_of(direction)

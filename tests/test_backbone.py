@@ -191,6 +191,14 @@ def test_new_model_shapes_and_determinism():
         bb.new_model([6], seed=0, cuttoff=4.0)  # misspelled key
 
 
+@pytest.mark.parametrize("key, value", [
+    ("d", 0), ("channels", 0), ("n_bessel", 0), ("layers", -1), ("l_max", -1), ("l_max", 4),
+])
+def test_new_model_rejects_out_of_range_sizes_naming_the_key(key, value):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        bb.new_model([6], **{key: value})
+
+
 def test_unknown_species_rejected():
     state = small_model()
     cfg = bb.AtomicConfiguration(species=np.array([8, 6]), positions=np.array([[0.0, 0, 0], [1.0, 0, 0]]))

@@ -190,6 +190,35 @@ def test_config_file_bad_value_exits_two_naming_the_key(tmp_path, capsys, comman
     assert not (tmp_path / "o").exists()
 
 
+MANIFEST_RUNS = {
+    "grid": ["--ntheta", "2", "--nphi", "2"],
+    "check-equivariance": ["--random-model", *TINY_MODEL, "--system", "cloud:3", "--rotations", "1"],
+    "train": ["--data", "synth:morse", "--data-size", "24", "--steps", "1", "--batch-size", "4",
+              *TINY_MODEL],
+    "md": ["--random-model", *TINY_MODEL, "--system", "synth:trimer", "--steps", "1"],
+    "attention-map": ["--mode", "angular", "--random-model", *TINY_MODEL, "--system", "synth:trimer",
+                      "--center", "0", "--probe", "1", "--grid", "2x2"],
+    "eval": ["--data", "synth:morse", "--data-size", "60"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_config_is_every_option_as_parsed_but_out(morse_checkpoint, tmp_path, capsys, command):
+    argv = [command, *MANIFEST_RUNS[command], "--out", str(tmp_path / "o")]
+    if command == "eval":
+        argv += ["--checkpoint", str(morse_checkpoint)]
+    assert run_cli(capsys, argv)[0] == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    sub = cli._subcommand_parsers(cli.build_parser())[command]
+    keys = {a.dest for a in sub._actions if a.option_strings} - {"help", "config", "out"}
+    assert manifest["command"] == command
+    assert set(manifest["config"]) == keys
+    args = parse_args(argv)
+    assert manifest["config"] == json.loads(json.dumps({k: getattr(args, k) for k in keys}))
+    assert manifest["wall_s"] > 0
+    assert ("model_config" in manifest) is (command != "grid")
+
+
 def test_threads_flag_pins_environment(tmp_path, capsys, monkeypatch):
     # monkeypatch restores all five variables after main() has set them
     for var in THREAD_VARS:
@@ -248,6 +277,21 @@ def test_train_zero_steps_returns_initial_model(tmp_path, capsys):
     assert sorted(state.params) == sorted(expect.params)
     for name, arr in expect.params.items():
         assert np.array_equal(state.params[name], arr), name
+
+
+def test_train_and_eval_manifests_record_the_data_options(tmp_path, capsys):
+    data = ["--data", "synth:morse", "--data-size", "24", "--data-seed", "5", "--data-noise", "0.5"]
+    train_out, eval_out = tmp_path / "t", tmp_path / "e"
+    assert run_cli(capsys, ["train", *data, "--steps", "1", "--batch-size", "4", *TINY_MODEL,
+                            "--out", str(train_out)])[0] == 0
+    checkpoint = train_out / "checkpoint.json"
+    assert run_cli(capsys, ["eval", *data, "--split", "valid", "--checkpoint", str(checkpoint),
+                            "--out", str(eval_out)])[0] == 0
+    for out in (train_out, eval_out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        config = manifest["config"]
+        assert (config["data_size"], config["data_seed"], config["data_noise"]) == (24, 5, 0.5)
+        assert manifest["model_config"] == json.loads(checkpoint.read_text())["config"]
 
 
 def test_train_rerun_bit_identical(tmp_path, capsys):
@@ -359,17 +403,52 @@ def test_md_manifest_records_the_model_it_ran(tmp_path, capsys):
     manifests = {name: json.loads((tmp_path / name / "manifest.json").read_text()) for name in runs}
 
     a, fine = manifests["a"], manifests["fine"]
-    assert a["config"] == fine["config"]
+    assert {k: v for k, v in a["config"].items() if k != "grid"} == {
+        k: v for k, v in fine["config"].items() if k != "grid"
+    }
+    assert a["config"]["grid"] is None and fine["config"]["grid"] == [8, 16]
     assert a["model_config"]["grid"] == [4, 8] and fine["model_config"]["grid"] == [8, 16]
-    assert a["random_gate"] is True
+    assert a["config"]["random_gate"] is True
     assert a["model_config"]["channels"] == 8 and a["model_config"]["seed"] == 4
     assert (tmp_path / "a" / "trajectory.extxyz").read_bytes() != (tmp_path / "fine" / "trajectory.extxyz").read_bytes()
     for name in a["artifacts"]:
         if name != "manifest.json":
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "rerun" / name).read_bytes(), name
-    assert {k: v for k, v in manifests["rerun"].items() if not k.startswith("created")} == {
-        k: v for k, v in a.items() if not k.startswith("created")
-    }
+    def timeless(manifest):
+        return {k: v for k, v in manifest.items() if not k.startswith("created") and k != "wall_s"}
+
+    assert timeless(manifests["rerun"]) == timeless(a)
+
+
+@pytest.mark.parametrize("command, given", [
+    ("md", ["--system", "synth:morse", "--steps", "1"]),
+    ("check-equivariance", ["--system", "synth:morse", "--rotations", "1"]),
+    ("attention-map", ["--mode", "angular", "--system", "synth:morse", "--center", "0", "--probe", "1",
+                       "--grid", "2x2"]),
+])
+@pytest.mark.parametrize("stray", [["--channels", "99", "GRID", "8x16"], ["--random-gate"]],
+                         ids=["model-options", "random-gate"])
+def test_model_options_beside_checkpoint_exit_two_naming_them(morse_checkpoint, tmp_path, capsys,
+                                                               command, given, stray):
+    grid_flag = "--model-grid" if command == "attention-map" else "--grid"
+    stray = [grid_flag if a == "GRID" else a for a in stray]
+    code, _, err = run_cli(capsys, [command, "--checkpoint", str(morse_checkpoint), *given, *stray,
+                                    "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert all(flag in err for flag in stray if flag.startswith("--"))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--d", "0", "d"), ("--channels", "0", "channels"), ("--n-bessel", "0", "n_bessel"),
+    ("--layers", "-1", "layers"), ("--l-max", "4", "l_max"),
+])
+def test_out_of_range_model_size_exits_two_naming_the_key(capsys, flag, value, key):
+    code, _, err = run_cli(capsys, ["md", "--system", "synth:trimer", "--random-model", "--steps", "2",
+                                    flag, value])
+    assert code == 2
+    assert err.startswith("error: ") and f"'{key}'" in err
 
 
 def test_md_abort_writes_log_and_manifest(tmp_path, capsys, monkeypatch):
@@ -388,7 +467,7 @@ def test_md_abort_writes_log_and_manifest(tmp_path, capsys, monkeypatch):
     }
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == ["log.jsonl", "manifest.json"]
-    assert manifest["random_gate"] is False
+    assert manifest["config"]["random_gate"] is False
 
 
 # ----------------------------------------------------------- attention-map cmd
