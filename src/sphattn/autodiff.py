@@ -441,7 +441,7 @@ def grad(output, wrt, allow_unused: bool = False, create_graph: bool = True) -> 
     MissingDependencyError unless ``allow_unused`` is set, in which case
     they get zeros. A plain-array output, which is what a computation
     that never met a node returns, is lifted to a constant that depends
-    on no target: an edgeless structure under plain parameters gets zero
+    on no target: a model with no layers under plain parameters gets zero
     forces this way.
     """
     output = as_node(output)

@@ -78,26 +78,6 @@ class AtomicConfiguration:
 
 
 @dataclass
-class EquivariantFeatures:
-    """Per-atom feature blocks, one (n_atoms, 2l+1, channels) array per order."""
-
-    blocks: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        ls = sorted(self.blocks)
-        if ls != list(range(len(ls))):
-            raise ValueError("blocks must cover l = 0..l_max without gaps")
-        n, c = self.blocks[0].shape[0], self.blocks[0].shape[2]
-        for l, b in self.blocks.items():
-            if b.shape != (n, 2 * l + 1, c):
-                raise ValueError(f"block l={l} has shape {b.shape}")
-
-    @property
-    def l_max(self) -> int:
-        return max(self.blocks)
-
-
-@dataclass
 class ModelState:
     """Model configuration plus a flat name -> array parameter table."""
 
@@ -132,6 +112,8 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
     for key in ("d", "channels", "n_bessel"):
         if config[key] < 1:
             raise ValueError(f"model config key {key!r} must be at least 1, got {config[key]}")
+    if not 0 < config["cutoff"] < np.inf:
+        raise ValueError(f"model config key 'cutoff' must be positive and finite, got {config['cutoff']}")
     if config["layers"] < 0:
         raise ValueError(f"model config key 'layers' must be non-negative, got {config['layers']}")
     if not 0 <= config["l_max"] <= L_MAX_SUPPORTED:
@@ -250,58 +232,57 @@ def _forward_blocks(
     for l in range(1, l_out + 1):
         h[l] = np.zeros((n, 2 * l + 1, c))
 
-    if len(edges):
-        recv, send = edges[:, 0], edges[:, 1]
-        ne = len(edges)
-        xi = ad.take(positions, (recv,))
-        xj = ad.take(positions, (send,))
-        rvec = ad.sub(xj, xi)
-        r = ad.norm(rvec, axis=-1)  # (E,)
-        r_val = ad.value_of(r)
-        if np.any(r_val <= field_mod.DEGENERATE_SEPARATION):
-            e = int(np.argmin(r_val))
-            raise field_mod.DegenerateGeometryError(
-                f"atoms {edges[e, 0]} and {edges[e, 1]} coincide: separation {r_val[e]:.3e} "
-                f"at or below {field_mod.DEGENERATE_SEPARATION}"
-            )
-        rhat = ad.div(rvec, ad.reshape(r, (ne, 1)))
-        ylm = taped_harmonics(l_out, rhat)  # (E, (l_out+1)^2)
-        basis = radial_basis(r, cfg["cutoff"], cfg["n_bessel"], cfg["envelope_p"])
-        # the edge field depends on positions alone: once per call, and
-        # not at all when no layer runs the attention
-        gated = cfg["gating"] and gate_override is None
+    recv, send = edges[:, 0], edges[:, 1]
+    ne = len(edges)
+    xi = ad.take(positions, (recv,))
+    xj = ad.take(positions, (send,))
+    rvec = ad.sub(xj, xi)
+    r = ad.norm(rvec, axis=-1)  # (E,)
+    r_val = ad.value_of(r)
+    if np.any(r_val <= field_mod.DEGENERATE_SEPARATION):
+        e = int(np.argmin(r_val))
+        raise field_mod.DegenerateGeometryError(
+            f"atoms {edges[e, 0]} and {edges[e, 1]} coincide: separation {r_val[e]:.3e} "
+            f"at or below {field_mod.DEGENERATE_SEPARATION}"
+        )
+    rhat = ad.div(rvec, ad.reshape(r, (ne, 1)))
+    ylm = taped_harmonics(l_out, rhat)  # (E, (l_out+1)^2)
+    basis = radial_basis(r, cfg["cutoff"], cfg["n_bessel"], cfg["envelope_p"])
+    # the edge field depends on positions alone: once per call, and
+    # not at all when no layer runs the attention
+    gated = cfg["gating"] and gate_override is None
+    if gated:
+        feats = field_mod.field_features(*field_mod.grid_field(xi, xj, grid), cfg["field_mode"])
+
+    for t in range(cfg["layers"]):
+        radial = ad.matmul(basis, ad.transpose(params[f"layer{t}.radial"]))
+        radial = ad.reshape(radial, (ne, lmax + 1, c))
+        scalars = ad.reshape(h[0], (n, c))
+        s_j = ad.reshape(ad.take(scalars, (send,)), (ne, 1, c))
+
+        alpha = pooled = None
         if gated:
-            feats = field_mod.field_features(*field_mod.grid_field(xi, xj, grid), cfg["field_mode"])
+            alpha, pooled = attn_mod.edge_gate(
+                feats, ad.take(scalars, (recv,)), ad.take(scalars, (send,)), grid,
+                {name: params[f"layer{t}.attn.{name}"] for name in attn_mod.PARAM_NAMES}, cfg,
+            )
+        elif cfg["gating"]:
+            alpha = np.full(ne, float(gate_override))
+        if gate_trace is not None:
+            gate_trace.append({
+                "alpha": np.ones(ne) if alpha is None else np.array(ad.value_of(alpha), dtype=float),
+                "pooled_norm": np.zeros(ne) if pooled is None else np.linalg.norm(ad.value_of(pooled), axis=-1),
+            })
 
-        for t in range(cfg["layers"]):
-            radial = ad.matmul(basis, ad.transpose(params[f"layer{t}.radial"]))
-            radial = ad.reshape(radial, (ne, lmax + 1, c))
-            scalars = ad.reshape(h[0], (n, c))
-            s_j = ad.reshape(ad.take(scalars, (send,)), (ne, 1, c))
-
-            alpha = pooled = None
-            if gated:
-                alpha, pooled = attn_mod.edge_gate(
-                    feats, ad.take(scalars, (recv,)), ad.take(scalars, (send,)), grid,
-                    {name: params[f"layer{t}.attn.{name}"] for name in attn_mod.PARAM_NAMES}, cfg,
-                )
-            elif cfg["gating"]:
-                alpha = np.full(ne, float(gate_override))
-            if gate_trace is not None:
-                gate_trace.append({
-                    "alpha": np.ones(ne) if alpha is None else np.array(ad.value_of(alpha), dtype=float),
-                    "pooled_norm": np.zeros(ne) if pooled is None else np.linalg.norm(ad.value_of(pooled), axis=-1),
-                })
-
-            new_h = {}
-            for j in range(l_out + 1):
-                yj = ad.reshape(ad.take(ylm, (slice(None), slice(j * j, (j + 1) * (j + 1)))), (ne, 2 * j + 1, 1))
-                msg = ad.mul(ad.mul(ad.take(radial, (slice(None), slice(j, j + 1))), s_j), yj)
-                if alpha is not None:
-                    msg = ad.mul(msg, ad.reshape(alpha, (ne, 1, 1)))
-                agg = ad.segment_sum(msg, recv, n)  # ascending edge order
-                new_h[j] = ad.add(h[j], ad.matmul(agg, ad.transpose(params[f"layer{t}.mix{j}"])))
-            h = new_h
+        new_h = {}
+        for j in range(l_out + 1):
+            yj = ad.reshape(ad.take(ylm, (slice(None), slice(j * j, (j + 1) * (j + 1)))), (ne, 2 * j + 1, 1))
+            msg = ad.mul(ad.mul(ad.take(radial, (slice(None), slice(j, j + 1))), s_j), yj)
+            if alpha is not None:
+                msg = ad.mul(msg, ad.reshape(alpha, (ne, 1, 1)))
+            agg = ad.segment_sum(msg, recv, n)  # ascending edge order
+            new_h[j] = ad.add(h[j], ad.matmul(agg, ad.transpose(params[f"layer{t}.mix{j}"])))
+        h = new_h
     return h
 
 
@@ -323,26 +304,25 @@ def _forward_atom_energies(
     return ad.add(e_atom, ad.take(params["ref_energy"], (species_idx,)))
 
 
-def _prep(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None):
+def _prep(config: AtomicConfiguration, state: ModelState):
     idx = _species_index(config.species, state.config["species"])
-    nl = neighbors if neighbors is not None else neighbor_list(config.positions, state.config["cutoff"])
-    return idx, nl
+    return idx, neighbor_list(config.positions, state.config["cutoff"])
 
 
-def energy(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None):
+def energy(config: AtomicConfiguration, state: ModelState):
     """Total energy and per-atom contributions (floats, no gradients).
 
     The total is an exactly rounded sum of per-atom terms, so relabeling
     identical atoms cannot change it through accumulation order.
     """
-    idx, nl = _prep(config, state, neighbors)
+    idx, nl = _prep(config, state)
     e_atom = _forward_atom_energies(config.positions, idx, nl.edges, state.config, state.params)
     return float(ad.sum_exact(e_atom)), e_atom
 
 
-def energy_and_forces(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None, gate_override: float | None = None):
+def energy_and_forces(config: AtomicConfiguration, state: ModelState, gate_override: float | None = None):
     """Total energy, per-atom energies, and forces from one reverse pass."""
-    idx, nl = _prep(config, state, neighbors)
+    idx, nl = _prep(config, state)
     pos = ad.leaf(config.positions)
     e_atom = _forward_atom_energies(pos, idx, nl.edges, state.config, state.params, gate_override)
     total = ad.sum_exact(e_atom)
@@ -350,25 +330,20 @@ def energy_and_forces(config: AtomicConfiguration, state: ModelState, neighbors:
     return float(ad.value_of(total)), ad.value_of(e_atom), -g.value
 
 
-def forces(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None) -> np.ndarray:
-    return energy_and_forces(config, state, neighbors)[2]
+def forces(config: AtomicConfiguration, state: ModelState) -> np.ndarray:
+    return energy_and_forces(config, state)[2]
 
 
-def model_edge_gates(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None):
+def model_edge_gates(config: AtomicConfiguration, state: ModelState):
     """Gate values for every directed edge, one record per layer.
 
     Returns (edges, trace); trace[t] is a dict with "alpha" and
     "pooled_norm" arrays aligned to the edge rows. Ungated models report
     all-ones gates (messages pass unscaled) and zero pooled norms.
     """
-    idx, nl = _prep(config, state, neighbors)
+    idx, nl = _prep(config, state)
     trace: list[dict] = []
     _forward_blocks(config.positions, idx, nl.edges, state.config, state.params, gate_trace=trace)
-    if not len(nl.edges):
-        trace = [
-            {"alpha": np.zeros(0), "pooled_norm": np.zeros(0)}
-            for _ in range(state.config["layers"])
-        ]
     return nl.edges, trace
 
 
@@ -395,12 +370,12 @@ def with_grid(state: ModelState, grid) -> ModelState:
     return new
 
 
-def node_features(config: AtomicConfiguration, state: ModelState, neighbors: NeighborList | None = None) -> EquivariantFeatures:
-    """Final per-atom feature blocks after all layers (numpy values)."""
-    idx, nl = _prep(config, state, neighbors)
+def node_features(config: AtomicConfiguration, state: ModelState) -> dict[int, np.ndarray]:
+    """Final per-atom feature blocks after all layers, {l: (n, 2l+1, channels)}."""
+    idx, nl = _prep(config, state)
     blocks = _forward_blocks(config.positions, idx, nl.edges, state.config, state.params,
                              l_out=state.config["l_max"])
-    return EquivariantFeatures({l: np.asarray(b) for l, b in blocks.items()})
+    return {l: np.asarray(b) for l, b in blocks.items()}
 
 
 @dataclass
@@ -412,7 +387,7 @@ class BatchGraph:
     yields forces for every structure at once.
     """
 
-    energies: object  # (n_structures,); plain when no edge exists and no parameter is a node
+    energies: object  # (n_structures,); plain when the model has no layers and no parameter is a node
     positions: ad.Node  # leaf, (total_atoms, 3)
     n_atoms: np.ndarray  # (n_structures,)
     atom_graph: np.ndarray  # (total_atoms,) structure id per atom
@@ -442,9 +417,7 @@ def batch_graph(
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     species = np.concatenate([c.species for c in configs])
     idx = _species_index(species, state.config["species"])
-    edges = np.concatenate(
-        [nl.edges + off for nl, off in zip(neighbor_lists, offsets)], axis=0
-    ) if any(nl.n_edges for nl in neighbor_lists) else np.zeros((0, 2), dtype=int)
+    edges = np.concatenate([nl.edges + off for nl, off in zip(neighbor_lists, offsets)], axis=0)
     atom_graph = np.repeat(np.arange(len(configs)), counts)
 
     pos = ad.leaf(np.concatenate([c.positions for c in configs], axis=0))

@@ -427,6 +427,8 @@ def cmd_md(args) -> int:
     from . import md as md_mod
     from . import training as tr
 
+    if not 0 < args.rdf_rmax < math.inf:  # the RDF is taken after the run: check its range first
+        raise CommandError("--rdf-rmax must be positive and finite")
     system = _load_system(_required(args, "system"), args.seed)
     state = _load_model(args, system.species.tolist())
     provider = md_mod.model_force_provider(state, system.species)
@@ -474,8 +476,7 @@ def cmd_md(args) -> int:
             for i in range(traj.n_frames)
         ]
         (out / "trajectory.extxyz").write_text(tr.write_extxyz(tr.Dataset(samples=frames)))
-        _emit(out, args, tables, records, extra_artifacts=("trajectory.extxyz",),
-              model_config=state.config)
+    _emit(out, args, tables, records, extra_artifacts=("trajectory.extxyz",), model_config=state.config)
     t_txt = "n/a" if avg_t is None else f"{avg_t:.1f} K"
     peak_txt = "n/a" if peak is None else f"{peak:.3f} A"
     print(f"md done: {args.steps} steps of {args.dt} fs, <T> = {t_txt}, rdf peak at {peak_txt}",
@@ -538,8 +539,8 @@ def cmd_attention_map(args) -> int:
         if not (0 <= center < n and 0 <= probe < n) or center == probe:
             raise CommandError("--center and --probe must index distinct atoms")
         radius = args.radius
-        if radius <= 0:
-            raise CommandError("--radius must be positive")
+        if not 0 < radius < math.inf:
+            raise CommandError("--radius must be positive and finite")
         m_theta, n_phi = _required(args, "sweep_grid")
         header = ["theta", "phi", "x", "y", "z"] + alpha_cols + pooled_cols
         for i in range(m_theta):

@@ -235,8 +235,6 @@ class NeighborList:
     """Ordered edges (i, j), i != j, with interatomic distance < cutoff."""
 
     edges: np.ndarray  # (E, 2) int, sorted by (i, j); both directions present
-    cutoff: float
-    n_atoms: int
 
     @property
     def n_edges(self) -> int:
@@ -256,4 +254,4 @@ def neighbor_list(positions, cutoff: float) -> NeighborList:
     dist = np.linalg.norm(diff, axis=-1)
     np.fill_diagonal(dist, np.inf)
     edges = np.argwhere(dist < cutoff)  # row-major: ascending (i, j)
-    return NeighborList(edges, float(cutoff), len(pos))
+    return NeighborList(edges)

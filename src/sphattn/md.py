@@ -136,10 +136,10 @@ def langevin_step(
 ) -> MDState:
     """One BAOAB step; friction in 1/fs, zero friction or temperature
     turns the stochastic O-step into the identity (velocity Verlet)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if friction < 0 or temperature < 0:
-        raise ValueError("friction and temperature cannot be negative")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (0 <= friction < np.inf and 0 <= temperature < np.inf):
+        raise ValueError(f"friction and temperature must be finite and nonnegative, got {friction} and {temperature}")
     if state.forces is None:
         state.energy, state.forces = _eval_forces(forces_fn, state.positions, state, step)
 
@@ -250,8 +250,8 @@ def rdf(trajectory, r_max: float, bins: int) -> RdfResult:
     """
     if bins < 1:
         raise ValueError("need at least one bin")
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+    if not 0 < r_max < np.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     pos = trajectory.positions if hasattr(trajectory, "positions") else np.asarray(trajectory)
     if pos.ndim == 2:
         pos = pos[None]

@@ -530,12 +530,13 @@ class TrainConfig:
     val_every: int = 100
 
     def __post_init__(self):
-        if self.lam_e < 0 or self.lam_f < 0 or (self.lam_e == 0 and self.lam_f == 0):
-            raise ValueError("loss weights must be nonnegative and not both zero")
+        if not (0 <= self.lam_e < math.inf and 0 <= self.lam_f < math.inf) or self.lam_e == self.lam_f == 0:
+            raise ValueError("loss weights lam_e and lam_f must be finite, nonnegative and not both zero, "
+                             f"got {self.lam_e} and {self.lam_f}")
         if self.steps < 0 or self.batch_size < 1 or self.val_every < 1:
             raise ValueError("steps, batch_size, val_every out of range")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"learning rate lr must be positive and finite, got {self.lr}")
         if self.lr_schedule not in ("constant", "linear"):
             raise ValueError("lr_schedule must be constant or linear")
 
@@ -685,7 +686,6 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
 
     log_validation(0)
 
-    t_adam = 0
     for step in range(1, cfg.steps + 1):
         pick = rng.choice(len(train_set), size=min(cfg.batch_size, len(train_set)), replace=False)
         configs = [train_set[i] for i in pick]
@@ -709,13 +709,12 @@ def train(dataset: Dataset, model: bb.ModelState, cfg: TrainConfig) -> TrainResu
         grads = ad.grad(batch_loss, [pnodes[k] for k in trainable], allow_unused=True, create_graph=False)
         train_loss = float(batch_loss.value)
         del pred, batch_loss  # free this step's graph before the next one is built
-        t_adam += 1
         lr = _lr_at(cfg, step)
         for k, g in zip(trainable, grads):
             m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g.value
             v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g.value * g.value
-            mhat = m[k] / (1 - ADAM_BETA1**t_adam)
-            vhat = v[k] / (1 - ADAM_BETA2**t_adam)
+            mhat = m[k] / (1 - ADAM_BETA1**step)
+            vhat = v[k] / (1 - ADAM_BETA2**step)
             state.params[k] = state.params[k] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
         if step % cfg.val_every == 0 or step == cfg.steps:

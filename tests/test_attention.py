@@ -392,3 +392,40 @@ def test_gate_pipeline_tapes_whenever_one_parameter_is_a_leaf(name):
     assert isinstance(alpha, ad.Node)
     (g,) = ad.grad(ad.sum_(alpha), [leaf])
     assert np.any(g.value != 0.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (8, 16)], ids=["4x8", "8x16"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("mode", ["scalar", "rbf(3)"])
+def test_without_positional_encoding_the_receiver_enters_the_gate_only_through_c(mode, heads, shape):
+    # with the positional rows off, the logits read h_i only through
+    # c = W_kf^T W_q h_i (d_f numbers per head) and the values not at all,
+    # so a move of h_i that keeps c fixed keeps every gate (ROADMAP item 4)
+    rng = np.random.default_rng(31)
+    grid = geometry.build_equiangular_grid(*shape)
+    d, d_h, d_f = 8, 8, field.parse_feature_mode(mode)
+    p = attention.init_params(rng, d, d_h, d_f, grid.n_points, random_gate=True)
+    p["gate_w"] = 8.0 * p["gate_w"]  # so that moved gates show
+    pos = rng.uniform(-2.0, 2.0, size=(8, 3))
+    edges = geometry.neighbor_list(pos, 5.0).edges
+    feats = field.field_features(*field.grid_field(pos[edges[:, 0]], pos[edges[:, 1]], grid), mode)
+    h_i, h_j = rng.normal(size=(2, len(edges), d_h))
+    dh = d // heads
+    c_map = np.concatenate([  # h_i -> c of every head, (heads * d_f, d_h)
+        p["wk_field"][s:s + dh].T @ p["wq_node"][s:s + dh] for s in range(0, d, dh)
+    ])
+    null = np.linalg.svd(c_map)[2][np.linalg.matrix_rank(c_map):]  # rows span the null space
+    fixed_c = rng.normal(size=(len(edges), len(null))) @ null
+    free = rng.normal(size=fixed_c.shape)
+    free *= np.linalg.norm(fixed_c, axis=1, keepdims=True) / np.linalg.norm(free, axis=1, keepdims=True)
+    assert np.max(np.abs(fixed_c @ c_map.T)) < 1e-12
+
+    def gate_shift(delta, positional_encoding):
+        cfg = {**CONFIG, "heads": heads, "positional_encoding": positional_encoding}
+        base = attention.edge_gate(feats, h_i, h_j, grid, p, cfg)[0]
+        return np.max(np.abs(attention.edge_gate(feats, h_i + delta, h_j, grid, p, cfg)[0] - base))
+
+    assert gate_shift(fixed_c, False) <= 1e-14
+    assert gate_shift(free, False) > 1e-4
+    # the global-frame embedding lets the rest of h_i in through A.P_g'
+    assert gate_shift(fixed_c, True) > 1e-6

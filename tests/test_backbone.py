@@ -1,5 +1,7 @@
 """Backbone tests: radial basis, messages, symmetry, forces, reductions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -223,13 +225,48 @@ def test_configuration_validation():
         )
 
 
-def test_equivariant_features_validation():
-    with pytest.raises(ValueError):
-        bb.EquivariantFeatures({0: np.zeros((2, 1, 4)), 2: np.zeros((2, 5, 4))})
-    with pytest.raises(ValueError):
-        bb.EquivariantFeatures({0: np.zeros((2, 1, 4)), 1: np.zeros((2, 4, 4))})
-    f = bb.EquivariantFeatures({0: np.zeros((2, 1, 4)), 1: np.zeros((2, 3, 4))})
-    assert f.l_max == 1
+def test_node_features_are_one_block_per_order():
+    config = cloud(np.random.default_rng(4), n=5)
+    for l_max in (0, 1, 3):
+        blocks = bb.node_features(config, small_model(seed=3, l_max=l_max, random_gate=True))
+        assert sorted(blocks) == list(range(l_max + 1))
+        for l, b in blocks.items():
+            assert type(b) is np.ndarray and b.shape == (5, 2 * l + 1, 8)
+
+
+EDGELESS = {
+    "isolated_pair": ([1, 6], [[0.0, 0, 0], [20.0, 0, 0]]),
+    "single_atom": ([6], [[0.3, -1.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("over", [{}, {"gating": False}, {"l_max": 3, "field_mode": "rbf(3)", "heads": 2}],
+                         ids=["gated", "ungated", "rbf3_heads2"])
+@pytest.mark.parametrize("name", sorted(EDGELESS))
+def test_edgeless_structure_runs_every_layer_and_reads_out_the_embedding(name, over):
+    species, positions = EDGELESS[name]
+    config = bb.AtomicConfiguration(species=np.array(species), positions=np.array(positions))
+    state = small_model(seed=5, layers=3, random_gate=True, **over)
+    state.params["ref_energy"] = np.array([-0.4, 1.3])
+    idx = np.searchsorted(state.config["species"], config.species)
+    # no message reaches an atom, so each layer adds an empty sum to h:
+    # the energy is the readout of the embedding, in the model's own ops
+    e_atom = np.sum(state.params["embed"][idx] * state.params["readout"], axis=-1) + state.params["ref_energy"][idx]
+    expected = math.fsum(e_atom.tolist())
+    e, ea = bb.energy(config, state)
+    assert e == expected and np.array_equal(ea, e_atom)
+    e, ea, f = bb.energy_and_forces(config, state)
+    assert e == expected and np.array_equal(ea, e_atom)
+    assert np.array_equal(f, np.zeros((len(species), 3)))
+    edges, trace = bb.model_edge_gates(config, state)
+    assert edges.shape == (0, 2) and len(trace) == 3
+    for rec in trace:
+        assert rec["alpha"].shape == (0,) and rec["pooled_norm"].shape == (0,)
+    blocks = bb.node_features(config, state)
+    assert sorted(blocks) == list(range(state.config["l_max"] + 1))
+    assert np.array_equal(blocks[0], state.params["embed"][idx][:, None, :])
+    for l in range(1, state.config["l_max"] + 1):
+        assert blocks[l].shape == (len(species), 2 * l + 1, 8) and np.all(blocks[l] == 0.0)
 
 
 # -------------------------------------------------------------------- symmetry
@@ -267,7 +304,7 @@ def test_mirrored_neighbors_cancel_odd_blocks():
     u = np.array([0.8, -0.5, 0.9])
     pos = np.stack([np.zeros(3), u, -u])
     cfg = bb.AtomicConfiguration(species=np.full(3, 6), positions=pos)
-    blocks = bb.node_features(cfg, state).blocks
+    blocks = bb.node_features(cfg, state)
     assert np.all(blocks[1][0] == 0.0)
     assert np.any(blocks[1][1] != 0.0)  # the ends are not symmetric sites
     assert np.any(blocks[2][0] != 0.0)  # even orders survive inversion
@@ -301,8 +338,8 @@ def test_block_rotation_follows_vector_representation():
     cfg = cloud(rng, n=4)
     r = random_rotation(rng)
     rot = bb.AtomicConfiguration(species=cfg.species, positions=cfg.positions @ r.T)
-    b0 = bb.node_features(cfg, state).blocks
-    b1 = bb.node_features(rot, state).blocks
+    b0 = bb.node_features(cfg, state)
+    b1 = bb.node_features(rot, state)
 
     assert np.allclose(b1[0], b0[0], atol=1e-12)  # scalars invariant
 
@@ -607,8 +644,6 @@ def test_first_order_forces_are_bitwise_the_taped_forces_in_a_batch():
     assert neighbor_list(isolated.positions, state.config["cutoff"]).n_edges == 0
     _, taped, plain = _both_modes(configs, state)
     assert np.array_equal(taped, plain)
-    # alone, the edgeless structure's energy never meets a node; it still
-    # gets zero forces, in both the single and the batched first-order path
     e, _, f = bb.energy_and_forces(isolated, state)
     assert e == bb.energy(isolated, state)[0]
     assert np.array_equal(f, np.zeros((2, 3)))

@@ -392,6 +392,47 @@ def test_md_zero_steps_emits_initial_frame(morse_checkpoint, tmp_path, capsys):
     assert np.allclose(frames.samples[0].positions, expect)
 
 
+def test_md_without_out_prints_its_tables(capsys):
+    code, out, _ = run_cli(capsys, ["md", "--random-model", "--system", "synth:trimer", "--steps", "3",
+                                    "--rdf-bins", "5", "--channels", "4", "--d", "4"])
+    assert code == 0
+    lines = out.splitlines()
+    stats = lines.index("step,temperature,mean_force,q95_force,max_force")
+    rdf = lines.index("r,g,count")
+    assert [row.split(",")[0] for row in lines[stats + 1:stats + 4]] == ["1", "2", "3"]
+    assert rdf == stats + 4 and len(lines) == rdf + 6
+
+
+NON_FINITE_MD = ["md", "--random-model", "--system", "synth:trimer", "--steps", "2", *TINY_MODEL]
+NON_FINITE_TRAIN = ["train", "--data", "synth:morse", "--data-size", "12", "--steps", "2",
+                    "--batch-size", "4", *TINY_MODEL]
+NON_FINITE_MAP = ["attention-map", "--mode", "angular", "--random-model", "--system", "synth:trimer",
+                  "--center", "0", "--probe", "1", "--grid", "2x2", *TINY_MODEL]
+NON_FINITE_CASES = [
+    (NON_FINITE_MD, "--temp", "nan", "temperature must"),
+    (NON_FINITE_MD, "--friction", "nan", "friction and"),
+    (NON_FINITE_MD, "--dt", "nan", "dt must"),
+    (NON_FINITE_MD, "--cutoff", "nan", "'cutoff' must"),
+    (NON_FINITE_MD, "--cutoff", "inf", "'cutoff' must"),
+    (NON_FINITE_MD, "--rdf-rmax", "nan", "--rdf-rmax must"),
+    (NON_FINITE_TRAIN, "--lr", "nan", "lr must"),
+    (NON_FINITE_TRAIN, "--lam-e", "inf", "lam_e and"),
+    (NON_FINITE_TRAIN, "--lam-f", "nan", "lam_f must"),
+    (NON_FINITE_MAP, "--radius", "nan", "--radius must"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, named", NON_FINITE_CASES,
+                         ids=[f"{argv[0]}{flag}={value}" for argv, flag, value, _ in NON_FINITE_CASES])
+def test_non_finite_option_exits_two_naming_it(tmp_path, capsys, monkeypatch, argv, flag, value, named):
+    if flag == "--rdf-rmax":  # rejected before the run, not after it
+        monkeypatch.setattr(md, "run", lambda *a, **k: pytest.fail("md ran"))
+    code, _, err = run_cli(capsys, [*argv, flag, value, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert err.startswith("error: ") and named in err and "finite" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_md_manifest_records_the_model_it_ran(tmp_path, capsys):
     argv = ["md", "--random-model", "--random-gate", "--system", "synth:trimer",
             "--steps", "5", "--seed", "4", *TINY_MODEL]

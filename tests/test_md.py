@@ -311,6 +311,9 @@ def test_rdf_validation():
         md.rdf(frames, r_max=4.0, bins=0)
     with pytest.raises(ValueError):
         md.rdf(frames, r_max=0.0, bins=4)
+    for r_max in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="r_max must be positive and finite"):
+            md.rdf(frames, r_max=r_max, bins=4)
     with pytest.raises(ValueError):
         md.rdf(np.zeros((1, 1, 3)), r_max=4.0, bins=4)
 
