@@ -88,10 +88,6 @@ class ModelState:
         return ModelState(dict(self.config), {k: v.copy() for k, v in self.params.items()})
 
 
-def species_vocab(species_numbers) -> list[int]:
-    return sorted({int(z) for z in species_numbers})
-
-
 def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) -> ModelState:
     """Freshly initialized model over a species vocabulary.
 
@@ -106,7 +102,7 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
     config.update(overrides)
-    config["species"] = species_vocab(species)
+    config["species"] = sorted({int(z) for z in species})
     config["grid"] = tuple(config["grid"])
     config["seed"] = int(seed)
     for key in ("d", "channels", "n_bessel"):
@@ -146,14 +142,6 @@ def new_model(species, seed: int = 0, random_gate: bool = False, **overrides) ->
         attn = attn_mod.init_params(rng, config["d"], c, d_f, grid.n_points, random_gate=random_gate)
         params.update((f"layer{t}.attn.{n}", attn[n]) for n in attn_mod.PARAM_NAMES)
     return ModelState(config, params)
-
-
-def model_grid(state: ModelState):
-    return build_equiangular_grid(*state.config["grid"])
-
-
-def param_nodes(state: ModelState) -> dict[str, ad.Node]:
-    return {k: ad.leaf(v) for k, v in state.params.items()}
 
 
 def radial_basis(r, r_c: float, n: int, envelope_p: int | None = 6):
@@ -330,10 +318,6 @@ def energy_and_forces(config: AtomicConfiguration, state: ModelState, gate_overr
     return float(ad.value_of(total)), ad.value_of(e_atom), -g.value
 
 
-def forces(config: AtomicConfiguration, state: ModelState) -> np.ndarray:
-    return energy_and_forces(config, state)[2]
-
-
 def model_edge_gates(config: AtomicConfiguration, state: ModelState):
     """Gate values for every directed edge, one record per layer.
 
@@ -390,7 +374,6 @@ class BatchGraph:
     energies: object  # (n_structures,); plain when the model has no layers and no parameter is a node
     positions: ad.Node  # leaf, (total_atoms, 3)
     n_atoms: np.ndarray  # (n_structures,)
-    atom_graph: np.ndarray  # (total_atoms,) structure id per atom
 
 
 def batch_graph(
@@ -418,9 +401,9 @@ def batch_graph(
     species = np.concatenate([c.species for c in configs])
     idx = _species_index(species, state.config["species"])
     edges = np.concatenate([nl.edges + off for nl, off in zip(neighbor_lists, offsets)], axis=0)
-    atom_graph = np.repeat(np.arange(len(configs)), counts)
+    structure_of_atom = np.repeat(np.arange(len(configs)), counts)
 
     pos = ad.leaf(np.concatenate([c.positions for c in configs], axis=0))
     e_atom = _forward_atom_energies(pos, idx, edges, state.config, params, gate_override)
-    totals = ad.segment_sum(e_atom, atom_graph, len(configs), exact=True)
-    return BatchGraph(totals, pos, counts, atom_graph)
+    totals = ad.segment_sum(e_atom, structure_of_atom, len(configs), exact=True)
+    return BatchGraph(totals, pos, counts)

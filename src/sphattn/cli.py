@@ -19,10 +19,12 @@ is an error. ``parse_args`` turns the file into the subcommand parser's
 defaults and lets a second parse apply the precedence.
 
 --threads pins all BLAS thread-pool sizes before numpy is first
-imported, which is what makes --threads 1 bit-reproducible. That only
+imported, which is what makes --threads 1 bit-reproducible. It takes
+effect because neither the package nor this module imports numpy at
+load time: each command imports what it needs when it runs. It only
 works when this module is the process entry point (the installed script
-or python -m sphattn.cli); importing the package first and calling
-main() afterwards leaves the pools at whatever numpy picked up.
+or python -m sphattn.cli); importing numpy first and calling main()
+afterwards leaves the pools at whatever numpy picked up.
 """
 
 from __future__ import annotations
@@ -427,8 +429,10 @@ def cmd_md(args) -> int:
     from . import md as md_mod
     from . import training as tr
 
-    if not 0 < args.rdf_rmax < math.inf:  # the RDF is taken after the run: check its range first
+    if not 0 < args.rdf_rmax < math.inf:  # the RDF is taken after the run: check its options first
         raise CommandError("--rdf-rmax must be positive and finite")
+    if args.rdf_bins < 1:
+        raise CommandError("--rdf-bins must be at least 1")
     system = _load_system(_required(args, "system"), args.seed)
     state = _load_model(args, system.species.tolist())
     provider = md_mod.model_force_provider(state, system.species)
@@ -638,7 +642,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="synth: sampling seed; file: split seed")
 
 
-def _add_model_args(p: argparse.ArgumentParser, grid_flag: str = "--grid") -> None:
+def _add_model_args(p: argparse.ArgumentParser, grid_flag: str = "--grid") -> argparse._ArgumentGroup:
     g = p.add_argument_group("model", "options of a new model; unset ones keep the model's default")
     g.add_argument("--cutoff", type=float)
     g.add_argument("--l-max", dest="l_max", type=int)
@@ -655,8 +659,7 @@ def _add_model_args(p: argparse.ArgumentParser, grid_flag: str = "--grid") -> No
     g.add_argument("--no-gating", dest="gating", action="store_const", const=False)
     g.add_argument("--no-positional-encoding", dest="positional_encoding",
                    action="store_const", const=False)
-    g.add_argument("--freeze-projections", dest="learnable",
-                   action="store_const", const=False)
+    return g
 
 
 def _add_model_source(p: argparse.ArgumentParser, grid_flag: str = "--grid") -> None:
@@ -710,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam-f", dest="lam_f", type=float, default=100.0, help="force loss weight")
     p.add_argument("--val-every", dest="val_every", type=int, default=100,
                    help="steps between validations")
-    _add_model_args(p)
+    _add_model_args(p).add_argument("--freeze-projections", dest="learnable", action="store_const",
+                                    const=False, help="keep the attention projections as drawn")
     _add_common(p)
 
     p = command("md", "Langevin dynamics with a model force provider", cmd_md)
@@ -819,6 +823,8 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         args.started = started
         if args.threads is not None:
+            if args.threads < 1:
+                raise CommandError("--threads must be at least 1")
             _set_threads(args.threads)
         return args.handler(args)
     except (CommandError, ValueError, OSError) as exc:

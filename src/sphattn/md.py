@@ -126,6 +126,13 @@ def _eval_forces(forces_fn, positions, state: MDState, step: int):
     return float(energy), forces
 
 
+def _check_integrator(dt: float, friction: float, temperature: float) -> None:
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (0 <= friction < np.inf and 0 <= temperature < np.inf):
+        raise ValueError(f"friction and temperature must be finite and nonnegative, got {friction} and {temperature}")
+
+
 def langevin_step(
     state: MDState,
     forces_fn,
@@ -136,10 +143,7 @@ def langevin_step(
 ) -> MDState:
     """One BAOAB step; friction in 1/fs, zero friction or temperature
     turns the stochastic O-step into the identity (velocity Verlet)."""
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (0 <= friction < np.inf and 0 <= temperature < np.inf):
-        raise ValueError(f"friction and temperature must be finite and nonnegative, got {friction} and {temperature}")
+    _check_integrator(dt, friction, temperature)
     if state.forces is None:
         state.energy, state.forces = _eval_forces(forces_fn, state.positions, state, step)
 
@@ -169,7 +173,6 @@ class Trajectory:
     positions: np.ndarray  # (frames, n, 3)
     energies: np.ndarray  # (frames,)
     force_stats: list[dict]
-    final_state: MDState
 
     @property
     def n_frames(self) -> int:
@@ -194,6 +197,8 @@ def run(
     """
     if steps < 0 or sample_every < 1:
         raise ValueError("steps must be nonnegative and sample_every positive")
+    # before the first forces, so that a run of no steps checks them too
+    _check_integrator(dt, friction, temperature)
     masses = masses_for(config.species)
     if temperature > 0:
         velocities = maxwell_boltzmann_init(temperature, masses, seed)
@@ -228,7 +233,6 @@ def run(
         positions=np.stack(frames),
         energies=np.asarray(energies),
         force_stats=stats,
-        final_state=state,
     )
 
 
@@ -270,23 +274,6 @@ def rdf(trajectory, r_max: float, bins: int) -> RdfResult:
     g = counts / expected
     centers = 0.5 * (edges[:-1] + edges[1:])
     return RdfResult(centers=centers, g=g, counts=counts, bin_width=float(edges[1] - edges[0]))
-
-
-def moving_average(series, window: int) -> np.ndarray:
-    """Centered running mean whose window shrinks near the boundaries.
-
-    Interior points average exactly ``window`` samples; for even windows
-    the extra sample sits on the right. Window 1 is the identity.
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    s = np.asarray(series, dtype=float)
-    left = window // 2
-    right = window - left
-    out = np.empty_like(s)
-    for i in range(len(s)):
-        out[i] = s[max(0, i - left) : min(len(s), i + right)].mean()
-    return out
 
 
 def model_force_provider(model_state, species):

@@ -337,7 +337,7 @@ def test_forward_tape_builds_no_per_grid_point_qkv(heads):
             break
     config = bb.AtomicConfiguration(species=np.full(20, 6), positions=pos)
     model = bb.new_model([6], seed=1, random_gate=True, heads=heads)
-    d, g = model.config["d"], bb.model_grid(model).n_points
+    d, g = model.config["d"], geometry.build_equiangular_grid(*model.config["grid"]).n_points
     graph = bb.batch_graph([config], model)
     seen, stack = {}, [graph.energies]
     while stack:

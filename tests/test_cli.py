@@ -246,6 +246,50 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.startswith("index,theta,phi")
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_two_naming_the_flag(tmp_path, capsys, monkeypatch, threads):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    out = tmp_path / "g"
+    code, _, err = run_cli(capsys, ["--threads", threads, "grid", "--ntheta", "1", "--nphi", "1",
+                                    "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: ") and "--threads" in err
+    assert not out.exists()
+    assert all(var not in os.environ for var in THREAD_VARS)
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of a new interpreter that imports this suite's sphattn, BLAS variables unset."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # --threads can pin BLAS only if numpy is not loaded before main() runs
+    out = _fresh_python("import sys, sphattn.cli; print('numpy' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_threads_one_entry_point_runs_on_one_os_thread():
+    out = _fresh_python(
+        "import os, runpy, sys\n"
+        "sys.argv = ['sphattn', '--threads', '1', 'grid', '--ntheta', '1', '--nphi', '2']\n"
+        "try:\n"
+        "    runpy.run_module('sphattn.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('threads', len(os.listdir('/proc/self/task')))\n"
+    )
+    assert out.splitlines()[-1] == "threads 1"
+
+
 # ------------------------------------------------------------------ train cmd
 
 def test_train_writes_checkpoint_history_manifest(morse_checkpoint):
@@ -319,6 +363,16 @@ def test_train_ablation_flags_reach_model_config(tmp_path, capsys):
     assert state.config["positional_encoding"] is False
     assert state.config["learnable"] is False
     assert state.config["gating"] is False
+
+
+@pytest.mark.parametrize("command", ["md", "check-equivariance", "attention-map"])
+def test_freeze_projections_parses_for_train_only(capsys, command):
+    # training alone reads learnable, so the other model commands do not declare it
+    assert parse_args(["train", "--freeze-projections"]).learnable is False
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--random-model", "--freeze-projections"])
+    assert exc.value.code == 2
+    assert "--freeze-projections" in capsys.readouterr().err
 
 
 def test_train_malformed_data_file_reports_line(tmp_path, capsys):
@@ -404,6 +458,7 @@ def test_md_without_out_prints_its_tables(capsys):
 
 
 NON_FINITE_MD = ["md", "--random-model", "--system", "synth:trimer", "--steps", "2", *TINY_MODEL]
+NON_FINITE_MD0 = ["md", "--random-model", "--system", "synth:trimer", "--steps", "0", *TINY_MODEL]
 NON_FINITE_TRAIN = ["train", "--data", "synth:morse", "--data-size", "12", "--steps", "2",
                     "--batch-size", "4", *TINY_MODEL]
 NON_FINITE_MAP = ["attention-map", "--mode", "angular", "--random-model", "--system", "synth:trimer",
@@ -415,6 +470,9 @@ NON_FINITE_CASES = [
     (NON_FINITE_MD, "--cutoff", "nan", "'cutoff' must"),
     (NON_FINITE_MD, "--cutoff", "inf", "'cutoff' must"),
     (NON_FINITE_MD, "--rdf-rmax", "nan", "--rdf-rmax must"),
+    (NON_FINITE_MD0, "--temp", "nan", "temperature must"),
+    (NON_FINITE_MD0, "--friction", "nan", "friction and"),
+    (NON_FINITE_MD0, "--dt", "nan", "dt must"),
     (NON_FINITE_TRAIN, "--lr", "nan", "lr must"),
     (NON_FINITE_TRAIN, "--lam-e", "inf", "lam_e and"),
     (NON_FINITE_TRAIN, "--lam-f", "nan", "lam_f must"),
@@ -423,13 +481,22 @@ NON_FINITE_CASES = [
 
 
 @pytest.mark.parametrize("argv, flag, value, named", NON_FINITE_CASES,
-                         ids=[f"{argv[0]}{flag}={value}" for argv, flag, value, _ in NON_FINITE_CASES])
+                         ids=[f"{argv[0]}{'-steps0' if argv is NON_FINITE_MD0 else ''}{flag}={value}"
+                              for argv, flag, value, _ in NON_FINITE_CASES])
 def test_non_finite_option_exits_two_naming_it(tmp_path, capsys, monkeypatch, argv, flag, value, named):
     if flag == "--rdf-rmax":  # rejected before the run, not after it
         monkeypatch.setattr(md, "run", lambda *a, **k: pytest.fail("md ran"))
     code, _, err = run_cli(capsys, [*argv, flag, value, "--out", str(tmp_path / "o")])
     assert code == 2
     assert err.startswith("error: ") and named in err and "finite" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_md_rdf_bins_below_one_exits_two_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(md, "run", lambda *a, **k: pytest.fail("md ran"))
+    code, _, err = run_cli(capsys, [*NON_FINITE_MD, "--rdf-bins", "0", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert err.startswith("error: ") and "--rdf-bins" in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

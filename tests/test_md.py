@@ -1,4 +1,6 @@
-"""Dynamics tests: units, thermostat, integrator reductions, RDF, smoothing."""
+"""Dynamics tests: units, thermostat, integrator reductions, RDF."""
+
+import math
 
 import numpy as np
 import pytest
@@ -171,6 +173,18 @@ def test_run_zero_steps_keeps_initial_frame():
     assert traj.force_stats == []
 
 
+@pytest.mark.parametrize("option, match", [
+    ("dt", "dt must"), ("friction", "friction and"), ("temperature", "friction and temperature"),
+], ids=["dt", "friction", "temperature"])
+def test_run_zero_steps_checks_the_integrator_options(option, match):
+    # no provider call either: the check comes before the first forces
+    def no_forces(positions):
+        pytest.fail("forces evaluated")
+
+    with pytest.raises(ValueError, match=f"{match}.*finite"):
+        md.run(dimer_config(), no_forces, steps=0, **{option: math.nan})
+
+
 def test_run_sampling_and_stats():
     traj = md.run(dimer_config(1.6), tr.morse_dimer, steps=10, sample_every=3, seed=4)
     assert traj.n_frames == 4  # initial plus steps 3, 6, 9
@@ -333,28 +347,3 @@ def test_model_force_provider_drives_run():
     assert traj.n_frames == 6
     assert np.all(np.isfinite(traj.positions))
 
-
-# -------------------------------------------------------------- moving average
-
-def test_moving_average_identity_and_constant():
-    s = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-    assert np.array_equal(md.moving_average(s, 1), s)
-    const = np.full(10, 2.5)
-    assert np.array_equal(md.moving_average(const, 5), const)
-    with pytest.raises(ValueError):
-        md.moving_average(s, 0)
-
-
-def test_moving_average_matches_windowed_oracle():
-    rng = np.random.default_rng(19)
-    s = rng.normal(size=40)
-    got = md.moving_average(s, 5)
-    for i in range(40):
-        lo, hi = max(0, i - 2), min(40, i + 3)
-        assert got[i] == pytest.approx(s[lo:hi].mean(), rel=1e-14)
-
-
-def test_moving_average_wide_window_collapses_to_global_mean():
-    s = np.array([1.0, 2.0, 6.0])
-    out = md.moving_average(s, 7)
-    assert np.allclose(out, s.mean())
